@@ -45,7 +45,7 @@ def main() -> int:
     for k in range(args.kmin, args.kmax + 1):
         begin = time.perf_counter()
         n_cliques = sum(1 for _ in enumerate_k_cliques(stream, k))
-        communities = compute_communities(stream, k, single_thread=True)
+        communities = compute_communities(stream, k)
         elapsed = time.perf_counter() - begin
         print(f"{k},{n_cliques},{len(communities)},{elapsed:.3f}")
         if previous is not None:

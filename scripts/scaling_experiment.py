@@ -26,7 +26,6 @@ def main() -> int:
     ap.add_argument("--block", type=int, default=10)
     ap.add_argument("--delta", type=int, default=20)
     ap.add_argument("--seed", type=int, default=7)
-    ap.add_argument("--single-thread", action="store_true")
     args = ap.parse_args()
 
     print("instants,links,k,seconds,communities")
@@ -43,7 +42,7 @@ def main() -> int:
         gc.disable()
         try:
             begin = time.perf_counter()
-            communities = compute_communities(stream, args.k, single_thread=args.single_thread)
+            communities = compute_communities(stream, args.k)
             elapsed = time.perf_counter() - begin
         finally:
             gc.enable()

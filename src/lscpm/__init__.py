@@ -30,11 +30,11 @@ from .percolate import (
     PercolationState,
     TemporalCommunity,
     UnionFind,
+    compute_communities,
     materialize,
     process_k_clique,
     run_lscpm,
 )
-from .pipeline import compute_communities, percolation_state
 from .synth import random_durational_stream, random_instants, random_stream, synthetic_stream
 
 __version__ = "0.1.0"
@@ -61,7 +61,6 @@ __all__ = [
     "materialize",
     "TemporalCommunity",
     "compute_communities",
-    "percolation_state",
     "oracle_enumerate",
     "oracle_communities",
     "snapshot_cpm",

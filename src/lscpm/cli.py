@@ -15,25 +15,29 @@ Output is deterministic: identical input and flags give identical bytes.
 from __future__ import annotations
 
 import argparse
+import csv
 import random
 import sys
-from typing import Sequence, TextIO
+from typing import Callable, Sequence, TextIO
 
 from .cliques import enumerate_k_cliques
-from .linkstream import LinkStream, ParseError, Time, apply_delta, parse_links, serialize
+from .linkstream import (
+    LinkStream,
+    ParseError,
+    _fmt_time,
+    _parse_time,
+    apply_delta,
+    parse_links,
+    serialize,
+)
 from .oracle import compare_communities, oracle_communities, oracle_enumerate, snapshot_cpm
-from .percolate import TemporalCommunity
-from .pipeline import compute_communities
+from .percolate import TemporalCommunity, compute_communities
 from .synth import random_instants
-
-
-def _fmt(t: Time) -> str:
-    return repr(t) if isinstance(t, float) else str(t)
 
 
 def _add_input_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("input", help="input file, or - for standard input")
-    sub.add_argument("--delta", type=_time_arg, default=None,
+    sub.add_argument("--delta", type=_parse_time, default=None,
                      help="duration added to instantaneous records (implies instantaneous format)")
     sub.add_argument("--format", choices=["durational", "instantaneous"], default=None,
                      help="input line format (default: durational, or instantaneous when --delta is set)")
@@ -42,13 +46,6 @@ def _add_input_options(sub: argparse.ArgumentParser) -> None:
 def _add_output_option(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--output", choices=["csv", "tsv"], default=None,
                      help="field separator for output lines (default: spaces)")
-
-
-def _time_arg(text: str) -> Time:
-    try:
-        return int(text)
-    except ValueError:
-        return float(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -64,15 +61,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("communities", help="detect temporal communities")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--single-thread", action="store_true",
-                   help="run enumeration and percolation sequentially")
     _add_input_options(p)
     _add_output_option(p)
     p.set_defaults(func=cmd_communities)
 
     p = sub.add_parser("stats", help="community statistics as CSV")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--single-thread", action="store_true")
     _add_input_options(p)
     _add_output_option(p)
     p.set_defaults(func=cmd_stats)
@@ -92,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--block", type=int, default=None,
                    help="confine pairs to vertex blocks of this size (bounds degree)")
-    p.add_argument("--delta", type=_time_arg, default=None,
+    p.add_argument("--delta", type=_parse_time, default=None,
                    help="expand the instants and emit durational lines instead")
     p.set_defaults(func=cmd_generate)
 
@@ -134,21 +128,33 @@ def _sep(args: argparse.Namespace, default: str = " ") -> str:
     return default
 
 
+def _row_writer(out: TextIO, sep: str) -> Callable[[Sequence[str]], object]:
+    """Write one row of fields per line; comma-separated rows are quoted as CSV.
+
+    Labels may hold commas and quotes but no whitespace, so only the comma
+    separator needs quoting.
+    """
+    if sep == ",":
+        return csv.writer(out, lineterminator="\n").writerow
+    return lambda fields: out.write(sep.join(fields) + "\n")
+
+
 class UsageError(Exception):
     pass
 
 
 def cmd_enumerate(args: argparse.Namespace, out: TextIO) -> int:
     stream = _read_stream(args)
-    sep = _sep(args)
+    write = _row_writer(out, _sep(args))
     for clique in enumerate_k_cliques(stream, args.k):
-        fields = [_fmt(clique.interval.t0), _fmt(clique.interval.t1)]
+        fields = [_fmt_time(clique.interval.t0), _fmt_time(clique.interval.t1)]
         fields += [stream.labels[v] for v in clique.vertices]
-        out.write(sep.join(fields) + "\n")
+        write(fields)
     return 0
 
 
-def _community_lines(stream: LinkStream, communities: list[TemporalCommunity], sep: str) -> list[str]:
+def _write_communities(stream: LinkStream, communities: list[TemporalCommunity],
+                       write: Callable[[Sequence[str]], object]) -> None:
     rows = []
     for community in communities:
         for v, spans in community.members.items():
@@ -156,30 +162,30 @@ def _community_lines(stream: LinkStream, communities: list[TemporalCommunity], s
             for iv in spans:
                 rows.append((community.id, label, iv.t0, iv.t1))
     rows.sort()
-    return [sep.join((str(cid), label, _fmt(t0), _fmt(t1))) for cid, label, t0, t1 in rows]
+    for cid, label, t0, t1 in rows:
+        write((str(cid), label, _fmt_time(t0), _fmt_time(t1)))
 
 
 def cmd_communities(args: argparse.Namespace, out: TextIO) -> int:
     stream = _read_stream(args)
-    communities = compute_communities(stream, args.k, single_thread=args.single_thread)
-    for line in _community_lines(stream, communities, _sep(args)):
-        out.write(line + "\n")
+    communities = compute_communities(stream, args.k)
+    _write_communities(stream, communities, _row_writer(out, _sep(args)))
     return 0
 
 
 def cmd_stats(args: argparse.Namespace, out: TextIO) -> int:
     stream = _read_stream(args)
-    communities = compute_communities(stream, args.k, single_thread=args.single_thread)
-    sep = _sep(args, default=",")
+    communities = compute_communities(stream, args.k)
+    write = _row_writer(out, _sep(args, default=","))
     counts = {v: 0 for v in stream.labels}
     for community in communities:
         for v in community.members:
             counts[v] += 1
-    out.write(sep.join(("section", "key", "value")) + "\n")
+    write(("section", "key", "value"))
     for v in sorted(counts, key=lambda x: stream.labels[x]):
-        out.write(sep.join(("vertex_communities", stream.labels[v], str(counts[v]))) + "\n")
+        write(("vertex_communities", stream.labels[v], str(counts[v])))
     for community in communities:
-        out.write(sep.join(("community_size", str(community.id), str(len(community.members)))) + "\n")
+        write(("community_size", str(community.id), str(len(community.members))))
     return 0
 
 
@@ -197,7 +203,7 @@ def cmd_compare(args: argparse.Namespace, out: TextIO) -> int:
             out.write(f"diff: {diff.replace('side a', 'k2').replace('side b', 'k1')}\n")
     if args.snapshot_times is not None:
         for token in args.snapshot_times.split(","):
-            t = _time_arg(token.strip())
+            t = _parse_time(token.strip())
             snapshot = snapshot_cpm(stream, t, args.k1)
             contained = 0
             for group in snapshot:
@@ -205,7 +211,7 @@ def cmd_compare(args: argparse.Namespace, out: TextIO) -> int:
                     contained += 1
             status = "all contained" if contained == len(snapshot) else \
                 f"{len(snapshot) - contained} not contained"
-            out.write(f"snapshot t={_fmt(t)}: {len(snapshot)} communities, {status}\n")
+            out.write(f"snapshot t={_fmt_time(t)}: {len(snapshot)} communities, {status}\n")
     return 0
 
 
@@ -214,7 +220,7 @@ def cmd_generate(args: argparse.Namespace, out: TextIO) -> int:
     instants = random_instants(rng, args.vertices, args.links, args.span, args.block)
     if args.delta is None:
         for t, u, v in sorted(instants):
-            out.write(f"{_fmt(t)} {u} {v}\n")
+            out.write(f"{_fmt_time(t)} {u} {v}\n")
     else:
         stream = apply_delta(instants, args.delta)
         out.write(serialize(stream))
@@ -226,14 +232,14 @@ def cmd_oracle(args: argparse.Namespace, out: TextIO) -> int:
     cliques = sorted(oracle_enumerate(stream, args.k),
                      key=lambda c: (c.interval.t0, c.vertices, c.interval.t1))
     out.write("# cliques\n")
+    write = _row_writer(out, " ")
     for clique in cliques:
-        fields = [_fmt(clique.interval.t0), _fmt(clique.interval.t1)]
+        fields = [_fmt_time(clique.interval.t0), _fmt_time(clique.interval.t1)]
         fields += [stream.labels[v] for v in clique.vertices]
-        out.write(" ".join(fields) + "\n")
+        write(fields)
     _, communities = oracle_communities(cliques, args.k)
     out.write("# communities\n")
-    for line in _community_lines(stream, communities, " "):
-        out.write(line + "\n")
+    _write_communities(stream, communities, write)
     return 0
 
 

@@ -10,6 +10,7 @@ given moment on a pair is unique.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -45,8 +46,8 @@ class Interval:
     t1: Time
 
     def __post_init__(self):
-        if self.t1 < self.t0:
-            raise ValueError(f"interval end {self.t1!r} before start {self.t0!r}")
+        if not self.t0 <= self.t1:  # NaN fails every comparison, so this refuses it too
+            raise ValueError(f"bad interval [{self.t0!r}, {self.t1!r}]: end before start or a NaN endpoint")
 
     @property
     def length(self) -> Time:
@@ -169,13 +170,15 @@ class Violation:
 def validate(stream: LinkStream) -> list[Violation]:
     """Audit every stream invariant and report all violations found.
 
-    Checked: e >= b per link, no self-loops, links sorted by non-decreasing b,
-    disjoint intervals on each pair, and a bijective label table covering the
-    vertices that appear in links.
+    Checked: finite times and e >= b per link, no self-loops, links sorted by
+    non-decreasing b, disjoint intervals on each pair, and a bijective label
+    table covering the vertices that appear in links.
     """
     out: list[Violation] = []
     links = stream.links
     for i, ln in enumerate(links):
+        if not (-math.inf < ln.b < math.inf and -math.inf < ln.e < math.inf):
+            out.append(Violation("non-finite", f"link {i} spans [{ln.b!r}, {ln.e!r}]", (i,)))
         if ln.e < ln.b:
             out.append(Violation("end-before-begin", f"link {i} ends at {ln.e!r} before {ln.b!r}", (i,)))
         if ln.u == ln.v:
@@ -201,15 +204,19 @@ def validate(stream: LinkStream) -> list[Violation]:
     return out
 
 
-def _parse_time(token: str, line: int) -> Time:
+def _parse_time(token: str, line: int | None = None) -> Time:
+    """Read an integer tick or a finite float; ``line`` numbers the error."""
     try:
         return int(token)
     except ValueError:
         pass
     try:
-        return float(token)
+        t = float(token)
     except ValueError:
         raise ParseError(f"bad time value {token!r}", line) from None
+    if not math.isfinite(t):
+        raise ParseError(f"non-finite time value {token!r}", line)
+    return t
 
 
 def _iter_lines(source) -> Iterable[str]:
@@ -315,8 +322,8 @@ def apply_delta(
     merged into a single link over the union of the intervals, which restores
     the pair-disjointness invariant.
     """
-    if delta <= 0:
-        raise ValueError(f"delta must be positive, got {delta!r}")
+    if not 0 < delta < math.inf:
+        raise ValueError(f"delta must be positive and finite, got {delta!r}")
     by_pair: dict[tuple[int, int], list[Time]] = {}
     for t, u, v in instants:
         if u == v:

@@ -34,6 +34,9 @@ __all__ = [
 
 MAX_ORACLE_VERTICES = 20
 MAX_ORACLE_LINKS = 200
+# Even 20 vertices can hold C(20, 10) cliques, and snapshot adjacency is
+# quadratic in the clique count, so that count is bounded too.
+MAX_SNAPSHOT_CLIQUES = 2000
 
 
 def _check_size(stream: LinkStream) -> None:
@@ -184,15 +187,27 @@ def snapshot_cpm(stream: LinkStream, t: Time, k: int) -> list[frozenset[int]]:
     """Static clique-percolation communities of the graph alive at time t.
 
     A link is alive over [b, e) here: a link ending exactly at t is already
-    gone, mirroring strict window expiry.
+    gone, mirroring strict window expiry. Raises ValueError when the graph
+    alive at t has more than MAX_ORACLE_VERTICES vertices or more than
+    MAX_SNAPSHOT_CLIQUES k-cliques.
     """
     adj: dict[int, set[int]] = {}
     for ln in stream.links:
         if ln.b <= t < ln.e:
             adj.setdefault(ln.u, set()).add(ln.v)
             adj.setdefault(ln.v, set()).add(ln.u)
+    if len(adj) > MAX_ORACLE_VERTICES:
+        raise ValueError(
+            f"snapshot at t={t!r} too large for the brute-force oracle:"
+            f" {len(adj)} alive vertices, limit {MAX_ORACLE_VERTICES}"
+        )
     cliques = _vertex_subsets_with_support(adj, k)
     n = len(cliques)
+    if n > MAX_SNAPSHOT_CLIQUES:
+        raise ValueError(
+            f"snapshot at t={t!r} too large for the brute-force oracle:"
+            f" {n} {k}-cliques, limit {MAX_SNAPSHOT_CLIQUES}"
+        )
     neighbors: list[list[int]] = [[] for _ in range(n)]
     sets = [set(c) for c in cliques]
     for i in range(n):

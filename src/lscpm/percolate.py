@@ -8,6 +8,9 @@ of every subset whose latest membership strictly overlaps the clique interval
 (start < membership end), extending that membership in time; subsets with no
 live membership get a fresh entry. Materializing resolves every membership
 node to its root and unions the member vertices' presence intervals.
+
+compute_communities chains the stages in one chronological pass: cliques are
+folded as enumeration yields them, so the full clique set is never held.
 """
 
 from __future__ import annotations
@@ -15,8 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .cliques import TemporalKClique
-from .linkstream import Interval, Time
+from .cliques import TemporalKClique, enumerate_k_cliques
+from .linkstream import Interval, LinkStream, Time
 
 __all__ = [
     "UnionFind",
@@ -26,6 +29,7 @@ __all__ = [
     "process_k_clique",
     "run_lscpm",
     "materialize",
+    "compute_communities",
 ]
 
 
@@ -203,6 +207,11 @@ def materialize(state: PercolationState) -> list[TemporalCommunity]:
         }
         communities.append(TemporalCommunity(label, members))
     return communities
+
+
+def compute_communities(stream: LinkStream, k: int) -> list[TemporalCommunity]:
+    """End-to-end: links in, materialized temporal communities out."""
+    return materialize(run_lscpm(enumerate_k_cliques(stream, k), k))
 
 
 def _merge_spans(spans: list[tuple[Time, Time]]) -> tuple[Interval, ...]:

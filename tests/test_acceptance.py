@@ -184,7 +184,7 @@ def test_criterion_4_k_nesting():
     nested = 0
     for i in range(100):
         stream = mixed_stream(rng, i)
-        by_k = {k: compute_communities(stream, k, single_thread=True) for k in (3, 4, 5)}
+        by_k = {k: compute_communities(stream, k) for k in (3, 4, 5)}
         for k1, k2 in ((3, 4), (3, 5), (4, 5)):
             for inner in by_k[k2]:
                 nested += 1
@@ -207,7 +207,7 @@ def test_criterion_5_snapshot_inclusion():
     for i in range(100):
         stream = mixed_stream(rng, i)
         k = (3, 4, 5)[i % 3]
-        communities = compute_communities(stream, k, single_thread=True)
+        communities = compute_communities(stream, k)
         positive = [ln for ln in stream.links if ln.e > ln.b]
         if not positive:
             continue
@@ -257,7 +257,7 @@ def test_criterion_7_near_linear_scaling():
         gc.disable()
         try:
             begin = time.perf_counter()
-            communities = compute_communities(stream, 3, single_thread=True)
+            communities = compute_communities(stream, 3)
             elapsed = time.perf_counter() - begin
         finally:
             gc.enable()

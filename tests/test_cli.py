@@ -1,3 +1,5 @@
+import csv
+import io
 import os
 import subprocess
 import sys
@@ -8,6 +10,7 @@ import pytest
 from conftest import KNOWN_STREAM_TEXT, SRC
 
 from lscpm.cli import main
+from lscpm.oracle import MAX_ORACLE_VERTICES, MAX_SNAPSHOT_CLIQUES
 
 KNOWN_ENUM_OUTPUT = """\
 2 13 c d e
@@ -81,10 +84,28 @@ class TestCommunities:
         assert code == 0
         assert out == KNOWN_COMMUNITY_OUTPUT
 
-    def test_single_thread_matches(self, capsys, known_file):
-        _, threaded, _ = run_cli(capsys, "communities", "--k", "3", known_file)
-        _, sequential, _ = run_cli(capsys, "communities", "--k", "3", "--single-thread", known_file)
-        assert threaded == sequential
+
+class TestCsvQuoting:
+    def test_labels_with_comma_and_quote_round_trip(self, capsys, tmp_path):
+        path = tmp_path / "odd.txt"
+        path.write_text('0 5 a,x b"y\n0 5 a,x c\n0 5 b"y c\n')
+        expected = {
+            ("enumerate", "--output", "csv"): [["0", "5", "a,x", 'b"y', "c"]],
+            ("communities", "--output", "csv"): [
+                ["0", "a,x", "0", "5"], ["0", 'b"y', "0", "5"], ["0", "c", "0", "5"],
+            ],
+            ("stats",): [
+                ["section", "key", "value"],
+                ["vertex_communities", "a,x", "1"],
+                ["vertex_communities", 'b"y', "1"],
+                ["vertex_communities", "c", "1"],
+                ["community_size", "0", "3"],
+            ],
+        }
+        for argv, rows in expected.items():
+            code, out, _ = run_cli(capsys, argv[0], "--k", "3", *argv[1:], str(path))
+            assert code == 0
+            assert list(csv.reader(io.StringIO(out))) == rows
 
 
 class TestStats:
@@ -128,6 +149,17 @@ class TestCompare:
         assert "snapshot t=4.5: 1 communities, all contained" in out
         assert "snapshot t=10: 2 communities, all contained" in out
 
+    @pytest.mark.parametrize("n, k, limit", [
+        (MAX_ORACLE_VERTICES + 1, 3, MAX_ORACLE_VERTICES),
+        (MAX_ORACLE_VERTICES, 4, MAX_SNAPSHOT_CLIQUES),
+    ])
+    def test_snapshot_of_dense_graph_refused(self, capsys, tmp_path, n, k, limit):
+        path = tmp_path / "dense.txt"
+        path.write_text("".join(f"0 10 v{u} v{v}\n" for u in range(n) for v in range(u + 1, n)))
+        code, _, err = run_cli(capsys, "compare", "--k1", str(k), "--snapshot-times", "5", str(path))
+        assert code == 1
+        assert f"limit {limit}" in err
+
 
 class TestGenerate:
     def test_same_seed_same_bytes(self, capsys):
@@ -169,6 +201,24 @@ class TestErrors:
         assert code == 1
         assert out == ""
         assert "line 1" in err
+
+    @pytest.mark.parametrize("text", [
+        "1 nan a b\n0 5 b c\n0 5 a c\n",
+        "0 inf a b\n",
+    ])
+    def test_non_finite_time_names_line(self, capsys, tmp_path, text):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "communities", "--k", "3", str(path))
+        assert code == 1
+        assert out == ""
+        assert "line 1" in err and "non-finite" in err
+
+    @pytest.mark.parametrize("delta", ["nan", "inf"])
+    def test_non_finite_delta_is_usage_error(self, capsys, known_file, delta):
+        with pytest.raises(SystemExit) as exc:
+            main(["communities", "--k", "3", "--delta", delta, known_file])
+        assert exc.value.code == 2
 
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "enumerate", "--k", "3", "/nonexistent/file.txt")

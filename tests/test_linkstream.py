@@ -1,5 +1,8 @@
+import math
+
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import streams
 from helpers import coverage_union
@@ -20,6 +23,11 @@ class TestInterval:
     def test_rejects_reversed_endpoints(self):
         with pytest.raises(ValueError):
             Interval(2, 1)
+
+    @pytest.mark.parametrize("t0, t1", [(math.nan, 1), (0, math.nan), (math.nan, math.nan)])
+    def test_rejects_nan_endpoints(self, t0, t1):
+        with pytest.raises(ValueError):
+            Interval(t0, t1)
 
     def test_zero_length_allowed_but_not_positive(self):
         iv = Interval(3, 3)
@@ -89,6 +97,32 @@ class TestParse:
         with pytest.raises(ParseError, match="self-loop"):
             parse_links("1 5 a a")
 
+    @given(
+        st.sampled_from(["durational", "instantaneous"]),
+        st.lists(st.sampled_from(["valid", "comment", "blank"]), max_size=6),
+        st.sampled_from(["nan", "-nan", "NaN", "inf", "-inf", "+inf", "Infinity", "1e400"]),
+        st.integers(0, 1),
+        st.integers(0, 3),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_non_finite_time_reports_its_line(self, fmt, before, token, field, after):
+        def valid(i):
+            return f"{i} {i + 1} a{i} b{i}" if fmt == "durational" else f"{i} a{i} b{i}"
+
+        filler = {"comment": "# note", "blank": ""}
+        lines = [valid(i) if kind == "valid" else filler[kind] for i, kind in enumerate(before)]
+        if fmt == "durational":
+            times = ["0", "1"]
+            times[field] = token
+            lines.append(f"{times[0]} {times[1]} x y")
+        else:
+            lines.append(f"{token} x y")
+        bad_line = len(lines)
+        lines += [valid(100 + i) for i in range(after)]
+        with pytest.raises(ParseError, match="non-finite") as exc:
+            parse_links("\n".join(lines), format=fmt, delta=1)
+        assert exc.value.line == bad_line
+
     def test_overlapping_pair_rejected_with_lines(self):
         with pytest.raises(ParseError, match="lines 1 and 2"):
             parse_links("1 5 a b\n3 8 a b")
@@ -140,7 +174,7 @@ class TestApplyDelta:
         stream = apply_delta([(0, 0, 1), (2, 0, 1)], 2)
         assert stream.links == (Link(0, 4, 0, 1),)
 
-    @pytest.mark.parametrize("delta", [0, -1])
+    @pytest.mark.parametrize("delta", [0, -1, math.nan, math.inf])
     def test_nonpositive_delta_rejected(self, delta):
         with pytest.raises(ValueError):
             apply_delta([(0, 0, 1)], delta)
@@ -198,6 +232,12 @@ class TestValidate:
         stream = LinkStream((Link(1, 2, 0, 1),), {0: "a"})
         kinds = [v.kind for v in validate(stream)]
         assert "label-missing" in kinds
+
+    @pytest.mark.parametrize("b, e", [(math.nan, 5), (1, math.inf), (-math.inf, 2)])
+    def test_non_finite_found(self, b, e):
+        stream = LinkStream((Link(b, e, 0, 1),), {0: "a", 1: "b"})
+        kinds = [v.kind for v in validate(stream)]
+        assert "non-finite" in kinds
 
     def test_valid_stream_is_clean(self, known_stream):
         assert validate(known_stream) == []

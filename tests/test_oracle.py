@@ -163,8 +163,8 @@ class TestCompare:
         stream = LinkStream.from_links(links)
         from lscpm import compute_communities
 
-        k3 = compute_communities(stream, 3, single_thread=True)
-        k4 = compute_communities(stream, 4, single_thread=True)
+        k3 = compute_communities(stream, 3)
+        k4 = compute_communities(stream, 4)
         assert len(k3) == 2 and len(k4) == 1
         report = compare_communities(k4, k3)
         assert report.a_in_b and not report.equal

@@ -4,14 +4,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import streams
+from conftest import KNOWN_COMMUNITY, streams
 from helpers import canon, shuffle_within_batches
 
 from lscpm import (
     Interval,
+    LinkStream,
     PercolationState,
     TemporalKClique,
     UnionFind,
+    compute_communities,
     enumerate_k_cliques,
     materialize,
     oracle_communities,
@@ -195,6 +197,24 @@ class TestMaterialize:
         firsts = [min(iv.t0 for spans in c.members.values() for iv in spans) for c in communities]
         assert [c.id for c in communities] == [0, 1, 2]
         assert firsts == sorted(firsts)
+
+
+class TestComputeCommunities:
+    def test_empty_stream(self):
+        assert compute_communities(LinkStream.from_links([]), 3) == []
+
+    def test_known_stream_exact(self, known_stream):
+        communities = compute_communities(known_stream, 3)
+        assert len(communities) == 1
+        members = {
+            known_stream.labels[v]: tuple((iv.t0, iv.t1) for iv in spans)
+            for v, spans in communities[0].members.items()
+        }
+        assert members == KNOWN_COMMUNITY
+
+    def test_k_below_three_rejected(self, known_stream):
+        with pytest.raises(ValueError):
+            compute_communities(known_stream, 2)
 
 
 class TestProperties:
