@@ -18,12 +18,13 @@ import argparse
 import csv
 import random
 import sys
-from typing import Callable, Sequence, TextIO
+from typing import Callable, Iterable, Sequence, TextIO
 
-from .cliques import enumerate_k_cliques
+from .cliques import TemporalKClique, enumerate_k_cliques
 from .linkstream import (
     LinkStream,
     ParseError,
+    Time,
     _fmt_time,
     _parse_time,
     apply_delta,
@@ -35,9 +36,21 @@ from .percolate import TemporalCommunity, compute_communities
 from .synth import random_instants
 
 
+def _time_arg(token: str) -> Time:
+    """argparse type for a time value: a bad one is a usage error, not a data error."""
+    try:
+        return _parse_time(token)
+    except ParseError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _times_arg(text: str) -> list[Time]:
+    return [_time_arg(token.strip()) for token in text.split(",")]
+
+
 def _add_input_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("input", help="input file, or - for standard input")
-    sub.add_argument("--delta", type=_parse_time, default=None,
+    sub.add_argument("--delta", type=_time_arg, default=None,
                      help="duration added to instantaneous records (implies instantaneous format)")
     sub.add_argument("--format", choices=["durational", "instantaneous"], default=None,
                      help="input line format (default: durational, or instantaneous when --delta is set)")
@@ -74,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="compare community structure across k values")
     p.add_argument("--k1", type=int, required=True)
     p.add_argument("--k2", type=int, default=None)
-    p.add_argument("--snapshot-times", default=None,
+    p.add_argument("--snapshot-times", type=_times_arg, default=None,
                    help="comma-separated times; checks snapshot communities against k1 output")
     _add_input_options(p)
     p.set_defaults(func=cmd_compare)
@@ -86,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--block", type=int, default=None,
                    help="confine pairs to vertex blocks of this size (bounds degree)")
-    p.add_argument("--delta", type=_parse_time, default=None,
+    p.add_argument("--delta", type=_time_arg, default=None,
                    help="expand the instants and emit durational lines instead")
     p.set_defaults(func=cmd_generate)
 
@@ -143,13 +156,17 @@ class UsageError(Exception):
     pass
 
 
-def cmd_enumerate(args: argparse.Namespace, out: TextIO) -> int:
-    stream = _read_stream(args)
-    write = _row_writer(out, _sep(args))
-    for clique in enumerate_k_cliques(stream, args.k):
+def _write_cliques(stream: LinkStream, cliques: Iterable[TemporalKClique],
+                   write: Callable[[Sequence[str]], object]) -> None:
+    for clique in cliques:
         fields = [_fmt_time(clique.interval.t0), _fmt_time(clique.interval.t1)]
         fields += [stream.labels[v] for v in clique.vertices]
         write(fields)
+
+
+def cmd_enumerate(args: argparse.Namespace, out: TextIO) -> int:
+    stream = _read_stream(args)
+    _write_cliques(stream, enumerate_k_cliques(stream, args.k), _row_writer(out, _sep(args)))
     return 0
 
 
@@ -202,8 +219,7 @@ def cmd_compare(args: argparse.Namespace, out: TextIO) -> int:
         for diff in report.diffs:
             out.write(f"diff: {diff.replace('side a', 'k2').replace('side b', 'k1')}\n")
     if args.snapshot_times is not None:
-        for token in args.snapshot_times.split(","):
-            t = _parse_time(token.strip())
+        for t in args.snapshot_times:
             snapshot = snapshot_cpm(stream, t, args.k1)
             contained = 0
             for group in snapshot:
@@ -233,10 +249,7 @@ def cmd_oracle(args: argparse.Namespace, out: TextIO) -> int:
                      key=lambda c: (c.interval.t0, c.vertices, c.interval.t1))
     out.write("# cliques\n")
     write = _row_writer(out, " ")
-    for clique in cliques:
-        fields = [_fmt_time(clique.interval.t0), _fmt_time(clique.interval.t1)]
-        fields += [stream.labels[v] for v in clique.vertices]
-        write(fields)
+    _write_cliques(stream, cliques, write)
     _, communities = oracle_communities(cliques, args.k)
     out.write("# communities\n")
     _write_communities(stream, communities, write)

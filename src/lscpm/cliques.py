@@ -35,10 +35,6 @@ class TemporalKClique:
     vertices: tuple[int, ...]  # strictly increasing
     interval: Interval
 
-    @property
-    def k(self) -> int:
-        return len(self.vertices)
-
 
 class WindowGraph:
     """Static graph of the links alive at the current stream position.
@@ -59,11 +55,11 @@ class WindowGraph:
         return len(self.end_time)
 
     def add(self, link: Link) -> None:
-        u, v = link.u, link.v
+        _, e, u, v = link
         self.adj.setdefault(u, set()).add(v)
         self.adj.setdefault(v, set()).add(u)
-        self.end_time[u, v] = link.e
-        heapq.heappush(self._expiry, (link.e, u, v))
+        self.end_time[u, v] = e
+        heapq.heappush(self._expiry, (e, u, v))
 
     def expire(self, b: Time) -> None:
         """Drop every edge ending strictly before b; an edge ending at b survives."""
@@ -96,8 +92,8 @@ def cliques_containing_edge(g: WindowGraph, u: int, v: int, k: int) -> list[tupl
     """All size-k vertex sets forming a static clique in g and containing {u, v}.
 
     Reduces to listing (k - 2)-cliques of the subgraph induced by the common
-    neighbors of u and v: plain vertices for k = 3, edges for k = 4, and an
-    ordered recursive expansion for k >= 5.
+    neighbors of u and v: plain vertices for k = 3, edges for k = 4, and a
+    recursion in increasing vertex id for k >= 5.
     """
     if k < 3:
         raise ValueError(f"k must be at least 3, got {k}")
@@ -119,52 +115,23 @@ def cliques_containing_edge(g: WindowGraph, u: int, v: int, k: int) -> list[tupl
                 if w < x:
                     found.append(tuple(sorted((u, v, w, x))))
     else:
-        sub = {w: g.adj[w] & common for w in common}
-        for group in _cliques_of_size(sub, k - 2):
-            found.append(tuple(sorted((u, v) + group)))
+        _grow(g.adj, (u, v), sorted(common), k - 2, found)
     return found
 
 
-def _cliques_of_size(adj: dict[int, set[int]], size: int) -> list[tuple[int, ...]]:
-    """Every clique with exactly `size` vertices in a small static graph, once each.
+def _grow(adj: dict[int, set[int]], group: tuple[int, ...], cand: list[int], need: int,
+          found: list[tuple[int, ...]]) -> None:
+    """Append every clique of group plus `need` vertices of the id-sorted `cand`.
 
-    Vertices are expanded along a degeneracy-style ordering so each clique is
-    produced in a single canonical order.
+    Each step takes a vertex and keeps only its neighbors of higher id as the
+    next candidates, so every clique is built once, in increasing id order.
     """
-    if size <= 0 or len(adj) < size:
-        return []
-    order = _degeneracy_order(adj)
-    rank = {w: i for i, w in enumerate(order)}
-    later = {w: frozenset(x for x in adj[w] if rank[x] > rank[w]) for w in order}
-    found: list[tuple[int, ...]] = []
-
-    def grow(prefix: tuple[int, ...], cand: frozenset[int], need: int) -> None:
-        if need == 0:
-            found.append(prefix)
-            return
-        if len(cand) < need:
-            return
-        for w in sorted(cand):
-            grow(prefix + (w,), cand & later[w], need - 1)
-
-    for w in order:
-        grow((w,), later[w], size - 1)
-    return found
-
-
-def _degeneracy_order(adj: dict[int, set[int]]) -> list[int]:
-    """Repeatedly peel a minimum-degree vertex; ties break on vertex id."""
-    degree = {w: len(ns) for w, ns in adj.items()}
-    alive = set(adj)
-    order: list[int] = []
-    while alive:
-        w = min(alive, key=lambda x: (degree[x], x))
-        alive.discard(w)
-        order.append(w)
-        for x in adj[w]:
-            if x in alive:
-                degree[x] -= 1
-    return order
+    if need == 0:
+        found.append(tuple(sorted(group)))
+        return
+    for i in range(len(cand) - need + 1):
+        nw = adj[cand[i]]
+        _grow(adj, group + (cand[i],), [x for x in cand[i + 1:] if x in nw], need - 1, found)
 
 
 def enumerate_k_cliques(stream: LinkStream, k: int) -> Iterator[TemporalKClique]:
@@ -182,7 +149,7 @@ def enumerate_k_cliques(stream: LinkStream, k: int) -> Iterator[TemporalKClique]
     seen: set[tuple[tuple[int, ...], Time]] = set()
     current_b: Time | None = None
     for link in stream.links:
-        b = link.b
+        b, e, u, v = link
         if current_b is not None and b != current_b:
             pending.sort(key=_batch_key)
             yield from pending
@@ -191,10 +158,10 @@ def enumerate_k_cliques(stream: LinkStream, k: int) -> Iterator[TemporalKClique]
         current_b = b
         g.add(link)
         g.expire(b)
-        if link.e <= b:
+        if e <= b:
             # a zero-duration link cannot support a positive-length clique
             continue
-        for c in cliques_containing_edge(g, link.u, link.v, k):
+        for c in cliques_containing_edge(g, u, v, k):
             end = min(end_time[p] for p in combinations(c, 2))
             if end <= b:
                 continue  # some edge of the clique dies the moment this link begins

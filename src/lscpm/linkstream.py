@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 Time = int | float
 
@@ -67,28 +67,21 @@ class Interval:
         return min(self.t1, other.t1) - max(self.t0, other.t0)
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class Link:
-    """One temporal edge. The pair is normalized to u < v; order is (b, e, u, v)."""
+class Link(NamedTuple):
+    """One temporal edge on the pair u < v; tuple order is (b, e, u, v).
+
+    Producers normalize the pair: parse_links and apply_delta build links with
+    u < v, and LinkStream.from_links swaps any link handed over as u > v.
+    """
 
     b: Time
     e: Time
     u: int
     v: int
 
-    def __post_init__(self):
-        if self.v < self.u:
-            u, v = self.v, self.u
-            object.__setattr__(self, "u", u)
-            object.__setattr__(self, "v", v)
-
     @property
     def pair(self) -> tuple[int, int]:
         return (self.u, self.v)
-
-    @property
-    def interval(self) -> Interval:
-        return Interval(self.b, self.e)
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,7 +110,10 @@ class LinkStream:
     def from_links(
         cls, links: Iterable[Link], labels: dict[int, str] | None = None
     ) -> LinkStream:
-        ordered = tuple(sorted(links))
+        """Sort the links, first swapping any pair given as u > v."""
+        ordered = tuple(sorted(
+            ln if ln.u <= ln.v else Link(ln.b, ln.e, ln.v, ln.u) for ln in links
+        ))
         if labels is None:
             seen = {x for ln in ordered for x in (ln.u, ln.v)}
             labels = {v: str(v) for v in sorted(seen)}
@@ -134,12 +130,6 @@ class LinkStream:
     def n_vertices(self) -> int:
         return len(self.labels)
 
-    def vertices(self) -> list[int]:
-        return sorted(self.labels)
-
-    def label_of(self, v: int) -> str:
-        return self.labels[v]
-
     def labeled_links(self) -> list[tuple[Time, Time, str, str]]:
         """Links as (b, e, label, label) tuples, the label pair sorted."""
         out = []
@@ -148,13 +138,6 @@ class LinkStream:
             if b < a:
                 a, b = b, a
             out.append((ln.b, ln.e, a, b))
-        return out
-
-    def pair_intervals(self) -> dict[tuple[int, int], list[Interval]]:
-        """Per unordered pair, the chronological list of link intervals."""
-        out: dict[tuple[int, int], list[Interval]] = {}
-        for ln in self.links:
-            out.setdefault(ln.pair, []).append(Interval(ln.b, ln.e))
         return out
 
 
@@ -170,9 +153,9 @@ class Violation:
 def validate(stream: LinkStream) -> list[Violation]:
     """Audit every stream invariant and report all violations found.
 
-    Checked: finite times and e >= b per link, no self-loops, links sorted by
-    non-decreasing b, disjoint intervals on each pair, and a bijective label
-    table covering the vertices that appear in links.
+    Checked: finite times and e >= b per link, no self-loops, pairs given as
+    u < v, links sorted by non-decreasing b, disjoint intervals on each pair,
+    and a bijective label table covering the vertices that appear in links.
     """
     out: list[Violation] = []
     links = stream.links
@@ -183,6 +166,8 @@ def validate(stream: LinkStream) -> list[Violation]:
             out.append(Violation("end-before-begin", f"link {i} ends at {ln.e!r} before {ln.b!r}", (i,)))
         if ln.u == ln.v:
             out.append(Violation("self-loop", f"link {i} loops on vertex {ln.u}", (i,)))
+        elif ln.v < ln.u:
+            out.append(Violation("pair-order", f"link {i} gives its pair as ({ln.u}, {ln.v})", (i,)))
     for i in range(1, len(links)):
         if links[i].b < links[i - 1].b:
             out.append(Violation("unsorted", f"link {i} begins before link {i - 1}", (i - 1, i)))
@@ -260,36 +245,28 @@ def parse_links(source, format: str = "durational", delta: Time | None = None) -
             raise ParseError(f"self-loop on vertex {parts[2]!r}", lineno)
         u = ids.setdefault(parts[2], len(ids))
         v = ids.setdefault(parts[3], len(ids))
-        entries.append((Link(b, e, u, v), lineno))
+        entries.append((Link(b, e, u, v) if u < v else Link(b, e, v, u), lineno))
 
-    by_pair: dict[tuple[int, int], list[tuple[Link, int]]] = {}
-    for link, lineno in entries:
-        by_pair.setdefault(link.pair, []).append((link, lineno))
-    kept: list[Link] = []
-    for pair, group in by_pair.items():
-        group.sort(key=lambda item: (item[0].b, item[0].e))
-        prev: tuple[Link, int] | None = None
-        for link, lineno in group:
-            if prev is not None:
-                if link == prev[0]:
-                    continue  # repeated identical line: links form a set
-                if link.b <= prev[0].e:
-                    raise ParseError(
-                        f"links on pair ({_label(ids, pair[0])}, {_label(ids, pair[1])}) overlap"
-                        f" (lines {prev[1]} and {lineno})",
-                        lineno,
-                    )
-            kept.append(link)
-            prev = (link, lineno)
+    # One sort orders the links chronologically and, per pair, by (b, e), so a
+    # single pass against the last kept link of each pair finds every overlap.
+    entries.sort()
     labels = {i: lab for lab, i in ids.items()}
-    return LinkStream.from_links(kept, labels)
-
-
-def _label(ids: dict[str, int], v: int) -> str:
-    for lab, i in ids.items():
-        if i == v:
-            return lab
-    return str(v)
+    last: dict[tuple[int, int], tuple[Link, int]] = {}
+    kept: list[Link] = []
+    for link, lineno in entries:
+        prev = last.get(link.pair)
+        if prev is not None:
+            if link == prev[0]:
+                continue  # repeated identical line: links form a set
+            if link.b <= prev[0].e:
+                raise ParseError(
+                    f"links on pair ({labels[link.u]}, {labels[link.v]}) overlap"
+                    f" (lines {prev[1]} and {lineno})",
+                    lineno,
+                )
+        kept.append(link)
+        last[link.pair] = (link, lineno)
+    return LinkStream(tuple(kept), labels)
 
 
 def _parse_instant_lines(lines) -> tuple[list[tuple[Time, int, int]], dict[int, str]]:

@@ -15,7 +15,7 @@ from itertools import combinations
 from typing import Sequence
 
 from .cliques import TemporalKClique
-from .linkstream import Interval, Link, LinkStream, Time
+from .linkstream import Interval, LinkStream, Time
 from .percolate import TemporalCommunity
 
 __all__ = [
@@ -24,7 +24,6 @@ __all__ = [
     "snapshot_cpm",
     "compare_communities",
     "ComparisonReport",
-    "covering_link",
     "is_clique",
     "can_start_earlier",
     "can_end_later",
@@ -250,15 +249,6 @@ def _cover(spans: PairSpans, u: int, v: int, interval: Interval) -> tuple[Time, 
             return (b, e)
         if b > interval.t0:
             break
-    return None
-
-
-def covering_link(stream: LinkStream, u: int, v: int, interval: Interval) -> Link | None:
-    """The unique link on {u, v} whose interval contains `interval`, if any."""
-    pair = (u, v) if u < v else (v, u)
-    for ln in stream.links:
-        if ln.pair == pair and ln.b <= interval.t0 and interval.t1 <= ln.e:
-            return ln
     return None
 
 

@@ -165,9 +165,6 @@ class TemporalCommunity:
     id: int
     members: dict[int, tuple[Interval, ...]]
 
-    def vertices(self) -> list[int]:
-        return sorted(self.members)
-
     def present_at(self, t: Time) -> set[int]:
         return {
             v for v, spans in self.members.items() if any(iv.contains_time(t) for iv in spans)

@@ -220,6 +220,24 @@ class TestErrors:
             main(["communities", "--k", "3", "--delta", delta, known_file])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv, message", [
+        (["communities", "--k", "3", "--delta", "nan", "IN"],
+         "argument --delta: non-finite time value 'nan'"),
+        (["generate", "--vertices", "6", "--links", "10", "--span", "20", "--delta", "x"],
+         "argument --delta: bad time value 'x'"),
+        (["compare", "--k1", "3", "--k2", "4", "--snapshot-times", "4,x", "IN"],
+         "argument --snapshot-times: bad time value 'x'"),
+    ])
+    def test_bad_time_option_is_plain_usage_error(self, capsys, known_file, argv, message):
+        # refused while parsing arguments: before the input is read, nothing printed
+        with pytest.raises(SystemExit) as exc:
+            main([known_file if arg == "IN" else arg for arg in argv])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert message in captured.err
+        assert "_parse_time" not in captured.err
+
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "enumerate", "--k", "3", "/nonexistent/file.txt")
         assert code == 1

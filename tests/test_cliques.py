@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 
 import pytest
@@ -102,6 +103,25 @@ class TestCliquesContainingEdge:
             if all(g.has_edge(x, y) for x, y in combinations(rest, 2))
         )
         assert got == want
+
+    @given(st.integers(3, 10), st.integers(0, 2**32 - 1), st.floats(0.4, 0.9), st.integers(3, 7))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_brute_force_on_random_window(self, n, seed, density, k):
+        rng = random.Random(seed)
+        pairs = [p for p in combinations(range(n), 2) if rng.random() < density]
+        if not pairs:
+            return
+        g = window_with(*(Link(0, 100, u, v) for u, v in pairs))
+        u, v = rng.choice(pairs)
+        got = cliques_containing_edge(g, u, v, k)
+        assert len(got) == len(set(got))
+        common = g.neighbors(u) & g.neighbors(v)
+        want = sorted(
+            tuple(sorted((u, v) + rest))
+            for rest in combinations(sorted(common), k - 2)
+            if all(g.has_edge(x, y) for x, y in combinations(rest, 2))
+        )
+        assert sorted(got) == want
 
 
 class TestEnumerate:

@@ -44,7 +44,11 @@ class TestInterval:
 
 class TestLink:
     def test_pair_is_normalized(self):
-        assert Link(0, 1, 5, 2).pair == (2, 5)
+        # Link stores what it is given; the producers put the pair as u < v
+        assert LinkStream.from_links([Link(0, 1, 5, 2)]).links == (Link(0, 1, 2, 5),)
+        stream = parse_links("1 2 b a\n3 4 a b")
+        assert stream.links == (Link(1, 2, 0, 1), Link(3, 4, 0, 1))
+        assert stream.labels == {0: "b", 1: "a"}
 
     def test_sort_order_is_b_e_pair(self):
         links = [Link(1, 9, 0, 1), Link(0, 9, 2, 3), Link(0, 5, 2, 3), Link(0, 5, 0, 1)]
@@ -228,6 +232,11 @@ class TestValidate:
         kinds = [v.kind for v in validate(stream)]
         assert "unsorted" in kinds
 
+    def test_pair_order_found(self):
+        stream = LinkStream((Link(1, 5, 1, 0),), {0: "a", 1: "b"})
+        kinds = [v.kind for v in validate(stream)]
+        assert kinds == ["pair-order"]
+
     def test_missing_label_found(self):
         stream = LinkStream((Link(1, 2, 0, 1),), {0: "a"})
         kinds = [v.kind for v in validate(stream)]
@@ -255,6 +264,28 @@ class TestRoundTrip:
         assert back == stream
         # dense ids and distinct labels on both sides
         assert len(set(back.labels.values())) == len(back.labels)
+
+    @given(streams(), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_line_order_and_repeats_do_not_matter(self, stream, data):
+        lines = serialize(stream).splitlines()
+        if lines:
+            lines += data.draw(st.lists(st.sampled_from(lines), max_size=5))
+        lines = data.draw(st.permutations(lines))
+        assert parse_links("\n".join(lines)) == stream
+        if not lines:
+            return
+        # an added line [b, e + d] on the pair of [b, e] sorts right after it, so
+        # that overlap is the first one found even if it also meets a later link
+        original = data.draw(st.sampled_from(lines))
+        b, e, a, c = original.split()
+        if data.draw(st.booleans()):
+            a, c = c, a
+        at = data.draw(st.integers(0, len(lines)))
+        lines.insert(at, f"{b} {int(e) + data.draw(st.integers(1, 3))} {a} {c}")
+        with pytest.raises(ParseError) as exc:
+            parse_links("\n".join(lines))
+        assert f"(lines {lines.index(original) + 1} and {at + 1})" in str(exc.value)
 
     @given(streams())
     @settings(max_examples=40, deadline=None)
