@@ -14,9 +14,10 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from lscpm import (  # noqa: E402
-    compute_communities,
     enumerate_k_cliques,
+    materialize,
     parse_links,
+    run_lscpm,
     synthetic_stream,
 )
 from lscpm.oracle import containing_communities  # noqa: E402
@@ -44,10 +45,10 @@ def main() -> int:
     previous = None
     for k in range(args.kmin, args.kmax + 1):
         begin = time.perf_counter()
-        n_cliques = sum(1 for _ in enumerate_k_cliques(stream, k))
-        communities = compute_communities(stream, k)
+        cliques = list(enumerate_k_cliques(stream, k))
+        communities = materialize(run_lscpm(cliques, k))
         elapsed = time.perf_counter() - begin
-        print(f"{k},{n_cliques},{len(communities)},{elapsed:.3f}")
+        print(f"{k},{len(cliques)},{len(communities)},{elapsed:.3f}")
         if previous is not None:
             for inner in communities:
                 hits = containing_communities(inner, previous)

@@ -3,15 +3,17 @@
 One chronological pass over the links maintains the window graph of currently
 alive edges. Each incoming link (b, e, u, v) triggers a static k-clique search
 around {u, v}; a found vertex set C becomes the temporal clique
-(C, [b, min end time over the edges of C]). Candidates of zero length are
-dropped (a clique needs a strictly positive interval) and candidates sharing a
-begin time are deduplicated, so the output is exactly the set of maximal
-k-cliques, emitted by non-decreasing start time.
+(C, [b, min end time over the edges of C]). The search carries that end time
+as the clique grows and drops a branch as soon as its end is <= b, so
+candidates of zero length never form (a clique needs a strictly positive
+interval). Candidates sharing a begin time are deduplicated, so the output is
+exactly the set of maximal k-cliques, emitted by non-decreasing start time.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator
@@ -93,86 +95,145 @@ def cliques_containing_edge(g: WindowGraph, u: int, v: int, k: int) -> list[tupl
 
     Reduces to listing (k - 2)-cliques of the subgraph induced by the common
     neighbors of u and v: plain vertices for k = 3, edges for k = 4, and a
-    recursion in increasing vertex id for k >= 5.
+    recursion in increasing vertex id for k >= 5. This is the search
+    enumeration runs, without its end-time cut-off.
     """
     if k < 3:
         raise ValueError(f"k must be at least 3, got {k}")
-    nu = g.adj.get(u)
-    nv = g.adj.get(v)
+    if u > v:
+        u, v = v, u
+    return [c for c, _, _ in _search(g, u, v, k, math.inf, -math.inf)]
+
+
+def _search(g: WindowGraph, u: int, v: int, k: int, e: Time,
+            b: Time) -> list[tuple[tuple[int, ...], Time, Time]]:
+    """(clique, end, b) for each k-clique of g on the pair u < v whose end is > b.
+
+    A clique's end is the earliest end time over its edges, with e standing in
+    for the edge (u, v). Each vertex added to a partial clique lowers the end
+    by its edges to the vertices already in it, and a branch is dropped as
+    soon as its end is <= b.
+    """
+    adj = g.adj
+    nu = adj.get(u)
+    nv = adj.get(v)
     if not nu or not nv:
         return []
     common = nu & nv
     if not common:
         return []
-    found: list[tuple[int, ...]] = []
+    end_time = g.end_time
+    live: dict[int, Time] = {}  # common neighbor -> end of the triangle it closes
+    for w in common:
+        ew = end_time[(u, w) if u < w else (w, u)]
+        if ew > e:
+            ew = e
+        ev = end_time[(v, w) if v < w else (w, v)]
+        if ev < ew:
+            ew = ev
+        if ew > b:
+            live[w] = ew
+    found: list[tuple[tuple[int, ...], Time, Time]] = []
     if k == 3:
-        for w in common:
-            found.append(tuple(sorted((u, v, w))))
+        for w, ew in live.items():
+            found.append(((w, u, v) if w < u else (u, w, v) if w < v else (u, v, w), ew, b))
     elif k == 4:
-        adj = g.adj
-        for w in common:
-            for x in adj[w] & common:
+        for w, ew in live.items():
+            for x in adj[w].intersection(live):
                 if w < x:
-                    found.append(tuple(sorted((u, v, w, x))))
+                    end = live[x]
+                    if ew < end:
+                        end = ew
+                    exw = end_time[w, x]
+                    if exw < end:
+                        end = exw
+                    if end > b:
+                        found.append((tuple(sorted((u, v, w, x))), end, b))
     else:
-        _grow(g.adj, (u, v), sorted(common), k - 2, found)
+        _grow(adj, end_time, (u, v), sorted(live.items()), k - 2, e, b, found)
     return found
 
 
-def _grow(adj: dict[int, set[int]], group: tuple[int, ...], cand: list[int], need: int,
-          found: list[tuple[int, ...]]) -> None:
+def _grow(adj: dict[int, set[int]], end_time: dict[tuple[int, int], Time],
+          group: tuple[int, ...], cand: list[tuple[int, Time]], need: int, end: Time, b: Time,
+          found: list[tuple[tuple[int, ...], Time, Time]]) -> None:
     """Append every clique of group plus `need` vertices of the id-sorted `cand`.
 
-    Each step takes a vertex and keeps only its neighbors of higher id as the
-    next candidates, so every clique is built once, in increasing id order.
+    `end` is the end of group and each candidate carries the end of its edges
+    to group. Each step takes a vertex and keeps only its neighbors of higher
+    id as the next candidates, so every clique is built once, in increasing id
+    order.
     """
     if need == 0:
-        found.append(tuple(sorted(group)))
+        found.append((tuple(sorted(group)), end, b))
         return
     for i in range(len(cand) - need + 1):
-        nw = adj[cand[i]]
-        _grow(adj, group + (cand[i],), [x for x in cand[i + 1:] if x in nw], need - 1, found)
+        x, ex = cand[i]
+        if ex > end:
+            ex = end
+        nx = adj[x]
+        nxt = []
+        for y, ey in cand[i + 1:]:
+            if y in nx:
+                exy = end_time[x, y]
+                if exy < ey:
+                    if exy <= b:
+                        continue
+                    ey = exy
+                nxt.append((y, ey))
+        _grow(adj, end_time, group + (x,), nxt, need - 1, ex, b, found)
 
 
 def enumerate_k_cliques(stream: LinkStream, k: int) -> Iterator[TemporalKClique]:
     """Yield every maximal k-clique of the stream, by non-decreasing start time.
 
-    Cliques sharing a begin time are buffered until the time advances, then
-    emitted in (vertex set, end) order; the same buffer deduplicates repeat
-    discoveries within the batch.
+    Cliques sharing a begin time are buffered as (vertex set, end, begin) keys,
+    which deduplicates repeat discoveries within the batch, until the time
+    advances; they are then emitted in key order.
+
+    A time may be written two ways, such as 5 and 5.0. A clique takes its
+    begin from the link that first found it in the batch and its end from the
+    first of its edges, in vertex-id order, that ends then. The search carries
+    ends by value, so that edge is looked up once a non-integer end has been
+    seen.
     """
     if k < 3:
         raise ValueError(f"k must be at least 3, got {k}")
     g = WindowGraph()
     end_time = g.end_time
-    pending: list[TemporalKClique] = []
-    seen: set[tuple[tuple[int, ...], Time]] = set()
+    pending: set[tuple[tuple[int, ...], Time, Time]] = set()
     current_b: Time | None = None
+    exact = False  # a non-integer end time has been seen
     for link in stream.links:
         b, e, u, v = link
-        if current_b is not None and b != current_b:
-            pending.sort(key=_batch_key)
-            yield from pending
-            pending.clear()
-            seen.clear()
-        current_b = b
+        if b != current_b:
+            if pending:
+                yield from _batch(pending)
+            current_b = b
         g.add(link)
         g.expire(b)
         if e <= b:
             # a zero-duration link cannot support a positive-length clique
             continue
-        for c in cliques_containing_edge(g, u, v, k):
-            end = min(end_time[p] for p in combinations(c, 2))
-            if end <= b:
-                continue  # some edge of the clique dies the moment this link begins
-            key = (c, end)
-            if key in seen:
-                continue
-            seen.add(key)
-            pending.append(TemporalKClique(c, Interval(b, end)))
-    pending.sort(key=_batch_key)
-    yield from pending
+        if type(e) is not int:
+            exact = True
+        # a clique whose end is <= b dies the moment this link begins
+        found = _search(g, u, v, k, e, b)
+        if found:
+            if exact:
+                found = [(c, _first_end(end_time, c, end), b) for c, end, _ in found]
+            pending.update(found)
+    if pending:
+        yield from _batch(pending)
 
 
-def _batch_key(c: TemporalKClique) -> tuple[tuple[int, ...], Time]:
-    return (c.vertices, c.interval.t1)
+def _first_end(end_time: dict[tuple[int, int], Time], c: tuple[int, ...], end: Time) -> Time:
+    """end as written on the first edge of c, in vertex-id order, that ends then."""
+    return next(end_time[p] for p in combinations(c, 2) if end_time[p] == end)
+
+
+def _batch(pending: set[tuple[tuple[int, ...], Time, Time]]) -> list[TemporalKClique]:
+    """Empty pending into its cliques, in key order."""
+    batch = [TemporalKClique(c, Interval(b, end)) for c, end, b in sorted(pending)]
+    pending.clear()
+    return batch

@@ -91,8 +91,7 @@ class LinkStream:
     Vertex ids are dense integers; ``labels`` maps them back to the external
     labels they were parsed from. Two streams are equal when they carry the
     same labeled links and labels, whatever the internal id assignment.
-    Instances are immutable after construction and safe to share read-only
-    across threads.
+    Instances are immutable after construction.
     """
 
     links: tuple[Link, ...]

@@ -6,16 +6,20 @@ chronological list of memberships (node, [start, end]): the periods during
 which that subset belongs to some community. A new clique joins the community
 of every subset whose latest membership strictly overlaps the clique interval
 (start < membership end), extending that membership in time; subsets with no
-live membership get a fresh entry. Materializing resolves every membership
-node to its root and unions the member vertices' presence intervals.
+live membership get a fresh entry. Materializing resolves every node to its
+root once and unions the member vertices' presence intervals.
 
 compute_communities chains the stages in one chronological pass: cliques are
-folded as enumeration yields them, so the full clique set is never held.
+folded as enumeration yields them, so the full clique set is never held. Each
+clique's end is the one its search carried as the clique grew; the search
+drops a branch as soon as its end is <= its start, so every clique folded
+here has positive length.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Iterable
 
 from .cliques import TemporalKClique, enumerate_k_cliques
@@ -37,7 +41,7 @@ class UnionFind:
     """Disjoint-set forest with union by rank and path compression.
 
     Node ids are dense integers handed out by make_set in creation order.
-    union accepts -1 as a no-op left operand so callers can fold over it.
+    union accepts -1 as a no-op left operand.
     """
 
     __slots__ = ("_parent", "_rank")
@@ -77,6 +81,10 @@ class UnionFind:
         rp = self.find(p)
         if rp == rq:
             return rp
+        return self._link(rp, rq)
+
+    def _link(self, rp: int, rq: int) -> int:
+        """Join two distinct roots by rank; returns the surviving root."""
         rank = self._rank
         if rank[rp] < rank[rq]:
             rp, rq = rq, rp
@@ -118,34 +126,7 @@ def process_k_clique(state: PercolationState, clique: TemporalKClique) -> None:
     subset's *latest* membership enough to find every strictly positive
     overlap.
     """
-    t0, t1 = clique.interval.t0, clique.interval.t1
-    verts = clique.vertices
-    if len(verts) != state.k:
-        raise ValueError(f"expected a {state.k}-clique, got {len(verts)} vertices")
-    if state.last_start is not None and t0 < state.last_start:
-        raise ValueError(f"clique starting at {t0!r} arrived after start {state.last_start!r}")
-    state.last_start = t0
-    uf = state.uf
-    memberships = state.memberships
-    p = -1
-    for i in range(len(verts)):
-        key = verts[:i] + verts[i + 1 :]
-        entries = memberships.get(key)
-        if entries is not None and t0 < entries[-1].end:
-            # still in that community: extend the membership and merge
-            last = entries[-1]
-            if t1 > last.end:
-                last.end = t1
-            p = uf.union(p, last.node)
-        else:
-            # not yet, or no longer, in any community: open a new membership
-            if p == -1:
-                p = uf.make_set()
-            entry = Membership(p, t0, t1)
-            if entries is None:
-                memberships[key] = [entry]
-            else:
-                entries.append(entry)
+    _fold(state, (clique,))
 
 
 def run_lscpm(cliques: Iterable[TemporalKClique], k: int) -> PercolationState:
@@ -153,9 +134,55 @@ def run_lscpm(cliques: Iterable[TemporalKClique], k: int) -> PercolationState:
     if k < 3:
         raise ValueError(f"k must be at least 3, got {k}")
     state = PercolationState(k=k)
-    for clique in cliques:
-        process_k_clique(state, clique)
+    _fold(state, cliques)
     return state
+
+
+def _fold(state: PercolationState, cliques: Iterable[TemporalKClique]) -> None:
+    """Fold cliques into state one by one, checking size and start order first.
+
+    Subsets are visited by dropping vertex 0, 1, ..., k - 1 in turn, which is
+    reversed lexicographic order. `root` is the root of the clique's community
+    once one is known: the first live subset's root or the node made for the
+    first lapsed one. Later live subsets are linked to it when their roots
+    differ.
+    """
+    k = state.k
+    uf = state.uf
+    find = uf.find
+    link = uf._link
+    make_set = uf.make_set
+    memberships = state.memberships
+    for clique in cliques:
+        verts = clique.vertices
+        t0, t1 = clique.interval.t0, clique.interval.t1
+        if len(verts) != k:
+            raise ValueError(f"expected a {k}-clique, got {len(verts)} vertices")
+        if state.last_start is not None and t0 < state.last_start:
+            raise ValueError(f"clique starting at {t0!r} arrived after start {state.last_start!r}")
+        state.last_start = t0
+        root = -1
+        for key in reversed(list(combinations(verts, k - 1))):
+            entries = memberships.get(key)
+            if entries is not None and t0 < entries[-1].end:
+                # still in that community: extend the membership and merge
+                last = entries[-1]
+                if t1 > last.end:
+                    last.end = t1
+                r = find(last.node)
+                if root == -1:
+                    root = r
+                elif r != root:
+                    root = link(root, r)
+            else:
+                # not yet, or no longer, in any community: open a new membership
+                if root == -1:
+                    root = make_set()
+                entry = Membership(root, t0, t1)
+                if entries is None:
+                    memberships[key] = [entry]
+                else:
+                    entries.append(entry)
 
 
 @dataclass(frozen=True)
@@ -181,28 +208,26 @@ def materialize(state: PercolationState) -> list[TemporalCommunity]:
     """Resolve the percolation state into concrete temporal communities.
 
     Every membership (node, [start, end]) of a subset key adds each vertex of
-    the key to the community find(node) over [start, end]; per-vertex
+    the key to the community of node's root over [start, end]; per-vertex
     intervals are then unioned, merging overlapping or touching spans.
-    Communities are labeled 0..c-1 by first appearance (node creation order
-    follows clique start times).
+    Communities are labeled 0..c-1 by first appearance: scanning node ids
+    upward, which is creation order and follows clique start times.
     """
     uf = state.uf
+    roots = [uf.find(node) for node in range(len(uf))]
     spans_by_root: dict[int, dict[int, list[tuple[Time, Time]]]] = {}
-    first_node: dict[int, int] = {}
     for key, entries in state.memberships.items():
         for m in entries:
-            root = uf.find(m.node)
-            if root not in first_node or m.node < first_node[root]:
-                first_node[root] = m.node
-            vertex_spans = spans_by_root.setdefault(root, {})
+            vertex_spans = spans_by_root.setdefault(roots[m.node], {})
+            span = (m.start, m.end)  # one tuple for all of the key's vertices
             for v in key:
-                vertex_spans.setdefault(v, []).append((m.start, m.end))
+                vertex_spans.setdefault(v, []).append(span)
     communities: list[TemporalCommunity] = []
-    for label, root in enumerate(sorted(spans_by_root, key=first_node.__getitem__)):
-        members = {
-            v: _merge_spans(spans) for v, spans in sorted(spans_by_root[root].items())
-        }
-        communities.append(TemporalCommunity(label, members))
+    for root in roots:
+        vertex_spans = spans_by_root.pop(root, None)
+        if vertex_spans is not None:
+            members = {v: _merge_spans(spans) for v, spans in sorted(vertex_spans.items())}
+            communities.append(TemporalCommunity(len(communities), members))
     return communities
 
 

@@ -15,8 +15,25 @@ from lscpm import (
     WindowGraph,
     cliques_containing_edge,
     enumerate_k_cliques,
+    parse_links,
 )
 from lscpm.oracle import can_end_later, can_start_earlier, is_clique, oracle_enumerate, pair_spans
+
+
+@st.composite
+def dense_streams(draw) -> LinkStream:
+    """One link per pair on up to 9 vertices, so the window is nearly complete.
+
+    Begins in 0..4 and ends in b..12 give each edge its own end, so the edge
+    that ends a clique varies, and zero-length links and cliques that die at
+    their start occur.
+    """
+    n = draw(st.integers(3, 9))
+    links = []
+    for u, v in combinations(range(n), 2):
+        b = draw(st.integers(0, 4))
+        links.append(Link(b, draw(st.integers(b, 12)), u, v))
+    return LinkStream.from_links(links)
 
 
 def window_with(*links):
@@ -163,11 +180,36 @@ class TestEnumerate:
         got = list(enumerate_k_cliques(stream, 3))
         assert got == [TemporalKClique((0, 1, 2), Interval(0, 7))]
 
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    def test_time_written_two_ways_keeps_its_form(self, k):
+        # 9.0 on a-b and 9 elsewhere: a clique's end reads as on its first edge
+        # in vertex-id order that ends then, whatever order the search met them
+        pairs = combinations("abcde", 2)
+        stream = parse_links("".join(f"0 {'9.0' if p == ('a', 'b') else '9'} {p[0]} {p[1]}\n"
+                                     for p in pairs))
+        got = [(c.vertices, repr(c.interval.t1)) for c in enumerate_k_cliques(stream, k)]
+        assert got == [(c, "9.0" if c[:2] == (0, 1) else "9") for c in combinations(range(5), k)]
+
+    def test_begin_written_two_ways_keeps_its_form(self):
+        # the link b-c, begun at 0.0, finds the triangle
+        stream = parse_links("0 5 a b\n0 5.0 a c\n0.0 5 b c\n")
+        got = [(repr(c.interval.t0), repr(c.interval.t1)) for c in enumerate_k_cliques(stream, 3)]
+        assert got == [("0.0", "5")]
+
     @given(streams(), st.sampled_from([3, 4, 5]))
     @settings(max_examples=60, deadline=None)
     def test_matches_oracle_exactly(self, stream, k):
         got = list(enumerate_k_cliques(stream, k))
         assert len(got) == len(set(got))  # no duplicates
+        assert set(got) == oracle_enumerate(stream, k)
+
+    @given(dense_streams(), st.integers(3, 7))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_oracle_on_dense_streams(self, stream, k):
+        # every edge ends at its own time, so this checks the end each search
+        # branch carries and the cut-off at b, for k >= 5 too
+        got = list(enumerate_k_cliques(stream, k))
+        assert len(got) == len(set(got))
         assert set(got) == oracle_enumerate(stream, k)
 
     @given(streams())

@@ -247,6 +247,20 @@ class TestProperties:
         assert engine == canon(reference)
         assert len(partition) == len(engine)
 
+    @given(streams(), st.sampled_from([3, 4, 5]))
+    @settings(max_examples=50, deadline=None)
+    def test_clique_by_clique_matches_run_lscpm(self, stream, k):
+        cliques = list(enumerate_k_cliques(stream, k))
+        whole = run_lscpm(cliques, k)
+        stepped = PercolationState(k=k)
+        for clique in cliques:
+            process_k_clique(stepped, clique)
+        assert len(stepped.uf) == len(whole.uf)
+        assert {key: resolved(stepped, key) for key in stepped.memberships} == {
+            key: resolved(whole, key) for key in whole.memberships
+        }
+        assert materialize(stepped) == materialize(whole)
+
     @given(streams(), st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
     def test_batch_order_does_not_matter(self, stream, seed):
