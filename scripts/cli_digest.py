@@ -28,7 +28,7 @@ KS = (3, 4, 5)
 
 GENERATE = (
     ["generate", "--vertices", "30", "--links", "400", "--span", "100", "--seed", "1"],
-    ["generate", "--vertices", "50", "--links", "600", "--span", "80", "--seed", "2",
+    ["generate", "--vertices", "48", "--links", "600", "--span", "80", "--seed", "2",
      "--block", "6", "--delta", "3"],
 )
 

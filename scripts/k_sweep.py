@@ -20,18 +20,21 @@ from lscpm import (  # noqa: E402
     run_lscpm,
     synthetic_stream,
 )
+from lscpm.cli import delta_arg  # noqa: E402
 from lscpm.oracle import containing_communities  # noqa: E402
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("input", nargs="?", default=None, help="durational input file")
-    ap.add_argument("--delta", type=int, default=None,
+    ap.add_argument("--delta", type=delta_arg, default=None,
                     help="treat the input as instantaneous records with this duration")
     ap.add_argument("--kmin", type=int, default=3)
     ap.add_argument("--kmax", type=int, default=6)
     ap.add_argument("--seed", type=int, default=11)
     args = ap.parse_args()
+    if args.kmin < 3:
+        ap.error(f"--kmin must be at least 3, got {args.kmin}")
 
     if args.input is None:
         stream = synthetic_stream(n_vertices=60, n_instants=4000, span=400,

@@ -44,13 +44,21 @@ def _time_arg(token: str) -> Time:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def delta_arg(token: str) -> Time:
+    """argparse type for --delta: a time that must also be positive."""
+    delta = _time_arg(token)
+    if delta <= 0:
+        raise argparse.ArgumentTypeError(f"delta must be positive and finite, got {delta!r}")
+    return delta
+
+
 def _times_arg(text: str) -> list[Time]:
     return [_time_arg(token.strip()) for token in text.split(",")]
 
 
 def _add_input_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("input", help="input file, or - for standard input")
-    sub.add_argument("--delta", type=_time_arg, default=None,
+    sub.add_argument("--delta", type=delta_arg, default=None,
                      help="duration added to instantaneous records (implies instantaneous format)")
     sub.add_argument("--format", choices=["durational", "instantaneous"], default=None,
                      help="input line format (default: durational, or instantaneous when --delta is set)")
@@ -99,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--block", type=int, default=None,
                    help="confine pairs to vertex blocks of this size (bounds degree)")
-    p.add_argument("--delta", type=_time_arg, default=None,
+    p.add_argument("--delta", type=delta_arg, default=None,
                    help="expand the instants and emit durational lines instead")
     p.set_defaults(func=cmd_generate)
 
@@ -233,7 +241,10 @@ def cmd_compare(args: argparse.Namespace, out: TextIO) -> int:
 
 def cmd_generate(args: argparse.Namespace, out: TextIO) -> int:
     rng = random.Random(args.seed)
-    instants = random_instants(rng, args.vertices, args.links, args.span, args.block)
+    try:
+        instants = random_instants(rng, args.vertices, args.links, args.span, args.block)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     if args.delta is None:
         for t, u, v in sorted(instants):
             out.write(f"{_fmt_time(t)} {u} {v}\n")

@@ -2,12 +2,14 @@
 
 One chronological pass over the links maintains the window graph of currently
 alive edges. Each incoming link (b, e, u, v) triggers a static k-clique search
-around {u, v}; a found vertex set C becomes the temporal clique
-(C, [b, min end time over the edges of C]). The search carries that end time
-as the clique grows and drops a branch as soon as its end is <= b, so
-candidates of zero length never form (a clique needs a strictly positive
-interval). Candidates sharing a begin time are deduplicated, so the output is
-exactly the set of maximal k-cliques, emitted by non-decreasing start time.
+around {u, v}: one recursion in increasing vertex id, the same for every k,
+lists the (k - 2)-cliques among the common neighbors of u and v. A found vertex
+set C becomes the temporal clique (C, [b, min end time over the edges of C]).
+The search carries that end time as the clique grows and drops a branch as
+soon as its end is <= b, so candidates of zero length never form (a clique
+needs a strictly positive interval). Candidates sharing a begin time are
+deduplicated, so the output is exactly the set of maximal k-cliques, emitted
+by non-decreasing start time.
 """
 
 from __future__ import annotations
@@ -26,8 +28,6 @@ __all__ = [
     "cliques_containing_edge",
     "enumerate_k_cliques",
 ]
-
-_EMPTY: frozenset[int] = frozenset()
 
 
 @dataclass(frozen=True, slots=True)
@@ -82,21 +82,13 @@ class WindowGraph:
             if not nv:
                 del adj[v]
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return ((u, v) if u < v else (v, u)) in self.end_time
-
-    def neighbors(self, u: int) -> frozenset[int]:
-        got = self.adj.get(u)
-        return frozenset(got) if got is not None else _EMPTY
-
 
 def cliques_containing_edge(g: WindowGraph, u: int, v: int, k: int) -> list[tuple[int, ...]]:
     """All size-k vertex sets forming a static clique in g and containing {u, v}.
 
     Reduces to listing (k - 2)-cliques of the subgraph induced by the common
-    neighbors of u and v: plain vertices for k = 3, edges for k = 4, and a
-    recursion in increasing vertex id for k >= 5. This is the search
-    enumeration runs, without its end-time cut-off.
+    neighbors of u and v, by one recursion in increasing vertex id for every
+    k. This is the search enumeration runs, without its end-time cut-off.
     """
     if k < 3:
         raise ValueError(f"k must be at least 3, got {k}")
@@ -110,9 +102,10 @@ def _search(g: WindowGraph, u: int, v: int, k: int, e: Time,
     """(clique, end, b) for each k-clique of g on the pair u < v whose end is > b.
 
     A clique's end is the earliest end time over its edges, with e standing in
-    for the edge (u, v). Each vertex added to a partial clique lowers the end
-    by its edges to the vertices already in it, and a branch is dropped as
-    soon as its end is <= b.
+    for the edge (u, v). The common neighbors of u and v whose triangle ends
+    after b seed _grow, which extends the clique for every k. Each vertex
+    added to a partial clique lowers the end by its edges to the vertices
+    already in it, and a branch is dropped as soon as its end is <= b.
     """
     adj = g.adj
     nu = adj.get(u)
@@ -134,23 +127,7 @@ def _search(g: WindowGraph, u: int, v: int, k: int, e: Time,
         if ew > b:
             live[w] = ew
     found: list[tuple[tuple[int, ...], Time, Time]] = []
-    if k == 3:
-        for w, ew in live.items():
-            found.append(((w, u, v) if w < u else (u, w, v) if w < v else (u, v, w), ew, b))
-    elif k == 4:
-        for w, ew in live.items():
-            for x in adj[w].intersection(live):
-                if w < x:
-                    end = live[x]
-                    if ew < end:
-                        end = ew
-                    exw = end_time[w, x]
-                    if exw < end:
-                        end = exw
-                    if end > b:
-                        found.append((tuple(sorted((u, v, w, x))), end, b))
-    else:
-        _grow(adj, end_time, (u, v), sorted(live.items()), k - 2, e, b, found)
+    _grow(adj, end_time, (u, v), sorted(live.items()), k - 2, e, b, found)
     return found
 
 
@@ -162,10 +139,11 @@ def _grow(adj: dict[int, set[int]], end_time: dict[tuple[int, int], Time],
     `end` is the end of group and each candidate carries the end of its edges
     to group. Each step takes a vertex and keeps only its neighbors of higher
     id as the next candidates, so every clique is built once, in increasing id
-    order.
+    order. With one vertex left to add, each candidate closes one clique.
     """
-    if need == 0:
-        found.append((tuple(sorted(group)), end, b))
+    if need == 1:
+        for x, ex in cand:
+            found.append((tuple(sorted(group + (x,))), end if ex > end else ex, b))
         return
     for i in range(len(cand) - need + 1):
         x, ex = cand[i]

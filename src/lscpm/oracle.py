@@ -46,8 +46,12 @@ def _check_size(stream: LinkStream) -> None:
         )
 
 
-def _pair_spans(stream: LinkStream) -> dict[tuple[int, int], list[tuple[Time, Time]]]:
-    spans: dict[tuple[int, int], list[tuple[Time, Time]]] = {}
+PairSpans = dict[tuple[int, int], list[tuple[Time, Time]]]
+
+
+def pair_spans(stream: LinkStream) -> PairSpans:
+    """Per-pair sorted (b, e) spans; build once when checking many cliques."""
+    spans: PairSpans = {}
     for ln in stream.links:
         spans.setdefault(ln.pair, []).append((ln.b, ln.e))
     for lst in spans.values():
@@ -100,7 +104,7 @@ def oracle_enumerate(stream: LinkStream, k: int) -> set[TemporalKClique]:
     if k < 3:
         raise ValueError(f"k must be at least 3, got {k}")
     _check_size(stream)
-    spans = _pair_spans(stream)
+    spans = pair_spans(stream)
     adj: dict[int, set[int]] = {}
     for u, v in spans:
         adj.setdefault(u, set()).add(v)
@@ -234,14 +238,6 @@ def snapshot_cpm(stream: LinkStream, t: Time, k: int) -> list[frozenset[int]]:
     return out
 
 
-PairSpans = dict[tuple[int, int], list[tuple[Time, Time]]]
-
-
-def pair_spans(stream: LinkStream) -> PairSpans:
-    """Per-pair sorted (b, e) spans; build once when checking many cliques."""
-    return _pair_spans(stream)
-
-
 def _cover(spans: PairSpans, u: int, v: int, interval: Interval) -> tuple[Time, Time] | None:
     pair = (u, v) if u < v else (v, u)
     for b, e in spans.get(pair, ()):
@@ -258,7 +254,7 @@ def is_clique(
     """Definition check: every pair covered by one link, positive length."""
     if len(vertices) < 2 or not interval.is_positive():
         return False
-    spans = spans if spans is not None else _pair_spans(stream)
+    spans = spans if spans is not None else pair_spans(stream)
     return all(
         _cover(spans, u, v, interval) is not None for u, v in combinations(sorted(vertices), 2)
     )
@@ -272,7 +268,7 @@ def can_start_earlier(
     Equivalent to every pair's covering link beginning strictly before t0;
     the check is exact, no epsilon is involved.
     """
-    spans = spans if spans is not None else _pair_spans(stream)
+    spans = spans if spans is not None else pair_spans(stream)
     covers = [
         _cover(spans, u, v, clique.interval) for u, v in combinations(clique.vertices, 2)
     ]
@@ -283,7 +279,7 @@ def can_end_later(
     stream: LinkStream, clique: TemporalKClique, spans: PairSpans | None = None
 ) -> bool:
     """True when some later end would still leave a clique."""
-    spans = spans if spans is not None else _pair_spans(stream)
+    spans = spans if spans is not None else pair_spans(stream)
     covers = [
         _cover(spans, u, v, clique.interval) for u, v in combinations(clique.vertices, 2)
     ]

@@ -41,7 +41,6 @@ class UnionFind:
     """Disjoint-set forest with union by rank and path compression.
 
     Node ids are dense integers handed out by make_set in creation order.
-    union accepts -1 as a no-op left operand.
     """
 
     __slots__ = ("_parent", "_rank")
@@ -71,14 +70,9 @@ class UnionFind:
         return root
 
     def union(self, p: int, q: int) -> int:
-        """Merge the sets of p and q and return the surviving root.
-
-        With p == -1 this is just find(q): no structural change.
-        """
-        rq = self.find(q)
-        if p == -1:
-            return rq
+        """Merge the sets of p and q and return the surviving root."""
         rp = self.find(p)
+        rq = self.find(q)
         if rp == rq:
             return rp
         return self._link(rp, rq)

@@ -28,6 +28,10 @@ def random_instants(
     """
     if n_vertices < 2:
         raise ValueError("need at least two vertices")
+    if n_instants < 0:
+        raise ValueError(f"the number of instants must be >= 0, got {n_instants}")
+    if span < 0:
+        raise ValueError(f"span must be >= 0, got {span}")
     if block is not None:
         if block < 2 or n_vertices % block != 0:
             raise ValueError("block must be >= 2 and divide n_vertices")

@@ -183,6 +183,21 @@ class TestGenerate:
             b, e, u, v = line.split()
             assert int(e) - int(b) >= 3
 
+    @pytest.mark.parametrize("options, message", [
+        ("--vertices 1 --links 30 --span 50", "need at least two vertices"),
+        ("--vertices 10 --links 30 --span 50 --block 4", "block must be >= 2 and divide"),
+        ("--vertices 10 --links 30 --span 50 --block 1", "block must be >= 2 and divide"),
+        ("--vertices 10 --links 30 --span -1", "span must be >= 0, got -1"),
+        ("--vertices 10 --links -3 --span 50", "the number of instants must be >= 0, got -3"),
+    ])
+    def test_bad_generator_option_is_usage_error(self, capsys, options, message):
+        with pytest.raises(SystemExit) as exc:
+            main(["generate", *options.split()])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert message in captured.err
+
 
 class TestOracleCommand:
     def test_sections_present(self, capsys, known_file):
@@ -227,6 +242,14 @@ class TestErrors:
          "argument --delta: bad time value 'x'"),
         (["compare", "--k1", "3", "--k2", "4", "--snapshot-times", "4,x", "IN"],
          "argument --snapshot-times: bad time value 'x'"),
+    ] + [
+        (argv + ["--delta", delta],
+         f"argument --delta: delta must be positive and finite, got {delta}")
+        for argv in (["enumerate", "--k", "3", "IN"], ["communities", "--k", "3", "IN"],
+                     ["stats", "--k", "3", "IN"], ["compare", "--k1", "3", "--k2", "4", "IN"],
+                     ["oracle", "--k", "3", "IN"],
+                     ["generate", "--vertices", "6", "--links", "10", "--span", "20"])
+        for delta in ("0", "-2")
     ])
     def test_bad_time_option_is_plain_usage_error(self, capsys, known_file, argv, message):
         # refused while parsing arguments: before the input is read, nothing printed

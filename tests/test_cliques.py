@@ -46,28 +46,28 @@ def window_with(*links):
 class TestWindowGraph:
     def test_add_records_end_time(self):
         g = window_with(Link(1, 13, 0, 1))
-        assert g.has_edge(0, 1)
+        assert (0, 1) in g.end_time
         assert g.end_time[0, 1] == 13
 
     def test_two_disjoint_pairs_coexist(self):
         g = window_with(Link(0, 5, 0, 1), Link(1, 6, 2, 3))
-        assert g.has_edge(0, 1) and g.has_edge(2, 3)
+        assert (0, 1) in g.end_time and (2, 3) in g.end_time
         assert len(g) == 2
 
     def test_re_add_after_expiry_overwrites(self):
         g = window_with(Link(0, 5, 0, 1))
         g.expire(6)
-        assert not g.has_edge(0, 1)
+        assert (0, 1) not in g.end_time
         g.add(Link(6, 9, 0, 1))
         assert g.end_time[0, 1] == 9
 
     def test_expire_is_strict_at_boundary(self):
         g = window_with(Link(0, 5, 0, 1))
         g.expire(5)
-        assert g.has_edge(0, 1)  # an edge ending exactly at b survives
+        assert (0, 1) in g.end_time  # an edge ending exactly at b survives
         g.expire(6)
-        assert not g.has_edge(0, 1)
-        assert g.neighbors(0) == frozenset()
+        assert (0, 1) not in g.end_time
+        assert 0 not in g.adj
 
     def test_expire_empty_is_noop(self):
         g = WindowGraph()
@@ -77,7 +77,7 @@ class TestWindowGraph:
     def test_stale_expiry_entry_skipped(self):
         g = window_with(Link(0, 5, 0, 1), Link(6, 8, 0, 1))
         g.expire(7)  # pops the (5, 0, 1) entry, which is superseded
-        assert g.has_edge(0, 1)
+        assert (0, 1) in g.end_time
         assert g.end_time[0, 1] == 8
 
 
@@ -94,7 +94,7 @@ class TestCliquesContainingEdge:
         g = complete_window(4)
         got = sorted(cliques_containing_edge(g, 0, 1, 3))
         # brute force over 1-subsets of the common neighborhood
-        common = g.neighbors(0) & g.neighbors(1)
+        common = g.adj[0] & g.adj[1]
         want = sorted(tuple(sorted((0, 1, w))) for w in common)
         assert got == want == [(0, 1, 2), (0, 1, 3)]
 
@@ -113,11 +113,11 @@ class TestCliquesContainingEdge:
         g.add(Link(0, 100, 0, 7))  # pendant edge off the clique
         g.add(Link(0, 100, 7, 8))
         got = sorted(cliques_containing_edge(g, 0, 1, k))
-        common = g.neighbors(0) & g.neighbors(1)
+        common = g.adj[0] & g.adj[1]
         want = sorted(
             tuple(sorted((0, 1) + rest))
             for rest in combinations(sorted(common), k - 2)
-            if all(g.has_edge(x, y) for x, y in combinations(rest, 2))
+            if all((x, y) in g.end_time for x, y in combinations(rest, 2))
         )
         assert got == want
 
@@ -132,11 +132,11 @@ class TestCliquesContainingEdge:
         u, v = rng.choice(pairs)
         got = cliques_containing_edge(g, u, v, k)
         assert len(got) == len(set(got))
-        common = g.neighbors(u) & g.neighbors(v)
+        common = g.adj[u] & g.adj[v]
         want = sorted(
             tuple(sorted((u, v) + rest))
             for rest in combinations(sorted(common), k - 2)
-            if all(g.has_edge(x, y) for x, y in combinations(rest, 2))
+            if all((x, y) in g.end_time for x, y in combinations(rest, 2))
         )
         assert sorted(got) == want
 

@@ -39,14 +39,6 @@ class TestUnionFind:
         assert uf.find(n) == n
         assert uf.find(uf.find(n)) == uf.find(n)
 
-    def test_union_with_sentinel_changes_nothing(self):
-        uf = UnionFind()
-        a, b = uf.make_set(), uf.make_set()
-        root = uf.union(-1, b)
-        assert root == uf.find(b)
-        assert uf.find(a) != uf.find(b)
-        assert len(uf) == 2
-
     def test_union_of_same_set_is_stable(self):
         uf = UnionFind()
         a, b = uf.make_set(), uf.make_set()
@@ -66,8 +58,11 @@ class TestUnionFind:
         uf.make_set()
         with pytest.raises(ValueError):
             uf.find(5)
-        with pytest.raises(ValueError):
-            uf.union(-2, 0)
+        for bad in (-1, -2):
+            with pytest.raises(ValueError):
+                uf.union(bad, 0)
+            with pytest.raises(ValueError):
+                uf.union(0, bad)
 
 
 # Reference trace: vertex ids 0..4 stand for c, d, e, f, g.
