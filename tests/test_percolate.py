@@ -39,6 +39,16 @@ class TestUnionFind:
         assert uf.find(n) == n
         assert uf.find(uf.find(n)) == uf.find(n)
 
+    def test_union_with_sentinel_changes_nothing(self):
+        uf = UnionFind()
+        a, b = uf.make_set(), uf.make_set()
+        for p, q in ((-1, b), (b, -1)):
+            with pytest.raises(ValueError):
+                uf.union(p, q)
+            assert uf.find(a) == a
+            assert uf.find(b) == b
+            assert len(uf) == 2
+
     def test_union_of_same_set_is_stable(self):
         uf = UnionFind()
         a, b = uf.make_set(), uf.make_set()
