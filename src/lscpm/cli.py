@@ -78,19 +78,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     _add_input_options(p)
     _add_output_option(p)
-    p.set_defaults(func=cmd_enumerate)
+    p.set_defaults(func=cmd_enumerate, parser=p)
 
     p = sub.add_parser("communities", help="detect temporal communities")
     p.add_argument("--k", type=int, required=True)
     _add_input_options(p)
     _add_output_option(p)
-    p.set_defaults(func=cmd_communities)
+    p.set_defaults(func=cmd_communities, parser=p)
 
     p = sub.add_parser("stats", help="community statistics as CSV")
     p.add_argument("--k", type=int, required=True)
     _add_input_options(p)
     _add_output_option(p)
-    p.set_defaults(func=cmd_stats)
+    p.set_defaults(func=cmd_stats, parser=p)
 
     p = sub.add_parser("compare", help="compare community structure across k values")
     p.add_argument("--k1", type=int, required=True)
@@ -98,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--snapshot-times", type=_times_arg, default=None,
                    help="comma-separated times; checks snapshot communities against k1 output")
     _add_input_options(p)
-    p.set_defaults(func=cmd_compare)
+    p.set_defaults(func=cmd_compare, parser=p)
 
     p = sub.add_parser("generate", help="emit a synthetic stream")
     p.add_argument("--vertices", type=int, required=True)
@@ -109,12 +109,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="confine pairs to vertex blocks of this size (bounds degree)")
     p.add_argument("--delta", type=delta_arg, default=None,
                    help="expand the instants and emit durational lines instead")
-    p.set_defaults(func=cmd_generate)
+    p.set_defaults(func=cmd_generate, parser=p)
 
     p = sub.add_parser("oracle", help="brute-force reference output (small inputs only)")
     p.add_argument("--k", type=int, required=True)
     _add_input_options(p)
-    p.set_defaults(func=cmd_oracle)
+    p.set_defaults(func=cmd_oracle, parser=p)
 
     return parser
 
@@ -268,13 +268,14 @@ def cmd_oracle(args: argparse.Namespace, out: TextIO) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    _check_k(parser, getattr(args, "k", None), getattr(args, "k1", None), getattr(args, "k2", None))
+    args = build_parser().parse_args(argv)
+    # usage errors name the subcommand's own options
+    _check_k(args.parser, getattr(args, "k", None), getattr(args, "k1", None),
+             getattr(args, "k2", None))
     try:
         return args.func(args, sys.stdout)
     except UsageError as exc:
-        parser.error(str(exc))  # exits with code 2
+        args.parser.error(str(exc))  # exits with code 2
         return 2
     except (ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -10,6 +10,10 @@ soon as its end is <= b, so candidates of zero length never form (a clique
 needs a strictly positive interval). Candidates sharing a begin time are
 deduplicated, so the output is exactly the set of maximal k-cliques, emitted
 by non-decreasing start time.
+
+The search hands each clique on as a plain (vertices, end, begin) tuple;
+compute_communities folds those tuples directly. A TemporalKClique is built
+only for the callers of enumerate_k_cliques.
 """
 
 from __future__ import annotations
@@ -165,9 +169,19 @@ def _grow(adj: dict[int, set[int]], end_time: dict[tuple[int, int], Time],
 def enumerate_k_cliques(stream: LinkStream, k: int) -> Iterator[TemporalKClique]:
     """Yield every maximal k-clique of the stream, by non-decreasing start time.
 
-    Cliques sharing a begin time are buffered as (vertex set, end, begin) keys,
-    which deduplicates repeat discoveries within the batch, until the time
-    advances; they are then emitted in key order.
+    Wraps each (vertices, end, begin) key of _clique_keys into a
+    TemporalKClique; compute_communities folds the keys themselves.
+    """
+    for c, end, b in _clique_keys(stream, k):
+        yield TemporalKClique(c, Interval(b, end))
+
+
+def _clique_keys(stream: LinkStream, k: int) -> Iterator[tuple[tuple[int, ...], Time, Time]]:
+    """Yield (vertices, end, begin) for every maximal k-clique, by non-decreasing begin.
+
+    Cliques sharing a begin time are buffered as these keys, which
+    deduplicates repeat discoveries within the batch, until the time advances;
+    each batch is then yielded in key order.
 
     A time may be written two ways, such as 5 and 5.0. A clique takes its
     begin from the link that first found it in the batch and its end from the
@@ -186,7 +200,8 @@ def enumerate_k_cliques(stream: LinkStream, k: int) -> Iterator[TemporalKClique]
         b, e, u, v = link
         if b != current_b:
             if pending:
-                yield from _batch(pending)
+                yield from sorted(pending)
+                pending.clear()
             current_b = b
         g.add(link)
         g.expire(b)
@@ -201,17 +216,9 @@ def enumerate_k_cliques(stream: LinkStream, k: int) -> Iterator[TemporalKClique]
             if exact:
                 found = [(c, _first_end(end_time, c, end), b) for c, end, _ in found]
             pending.update(found)
-    if pending:
-        yield from _batch(pending)
+    yield from sorted(pending)
 
 
 def _first_end(end_time: dict[tuple[int, int], Time], c: tuple[int, ...], end: Time) -> Time:
     """end as written on the first edge of c, in vertex-id order, that ends then."""
     return next(end_time[p] for p in combinations(c, 2) if end_time[p] == end)
-
-
-def _batch(pending: set[tuple[tuple[int, ...], Time, Time]]) -> list[TemporalKClique]:
-    """Empty pending into its cliques, in key order."""
-    batch = [TemporalKClique(c, Interval(b, end)) for c, end, b in sorted(pending)]
-    pending.clear()
-    return batch

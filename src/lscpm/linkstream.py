@@ -49,10 +49,6 @@ class Interval:
         if not self.t0 <= self.t1:  # NaN fails every comparison, so this refuses it too
             raise ValueError(f"bad interval [{self.t0!r}, {self.t1!r}]: end before start or a NaN endpoint")
 
-    @property
-    def length(self) -> Time:
-        return self.t1 - self.t0
-
     def is_positive(self) -> bool:
         return self.t1 > self.t0
 

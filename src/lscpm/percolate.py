@@ -10,19 +10,22 @@ live membership get a fresh entry. Materializing resolves every node to its
 root once and unions the member vertices' presence intervals.
 
 compute_communities chains the stages in one chronological pass: cliques are
-folded as enumeration yields them, so the full clique set is never held. Each
-clique's end is the one its search carried as the clique grew; the search
-drops a branch as soon as its end is <= its start, so every clique folded
-here has positive length.
+folded as enumeration yields them, so the full clique set is never held. The
+search hands each clique to the fold as a plain (vertices, end, begin) tuple,
+with no object in between; a TemporalKClique is built only for the callers of
+enumerate_k_cliques, and process_k_clique and run_lscpm unwrap theirs into the
+same tuples, so one fold loop serves all three. Each clique's end is the one
+its search carried as the clique grew; the search drops a branch as soon as
+its end is <= its start, so every clique folded here has positive length.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterable
+from typing import Iterable, Iterator
 
-from .cliques import TemporalKClique, enumerate_k_cliques
+from .cliques import TemporalKClique, _clique_keys
 from .linkstream import Interval, LinkStream, Time
 
 __all__ = [
@@ -120,7 +123,7 @@ def process_k_clique(state: PercolationState, clique: TemporalKClique) -> None:
     subset's *latest* membership enough to find every strictly positive
     overlap.
     """
-    _fold(state, (clique,))
+    _fold(state, _keys((clique,)))
 
 
 def run_lscpm(cliques: Iterable[TemporalKClique], k: int) -> PercolationState:
@@ -128,12 +131,17 @@ def run_lscpm(cliques: Iterable[TemporalKClique], k: int) -> PercolationState:
     if k < 3:
         raise ValueError(f"k must be at least 3, got {k}")
     state = PercolationState(k=k)
-    _fold(state, cliques)
+    _fold(state, _keys(cliques))
     return state
 
 
-def _fold(state: PercolationState, cliques: Iterable[TemporalKClique]) -> None:
-    """Fold cliques into state one by one, checking size and start order first.
+def _keys(cliques: Iterable[TemporalKClique]) -> Iterator[tuple[tuple[int, ...], Time, Time]]:
+    """Each clique as the (vertices, end, begin) tuple _fold reads."""
+    return ((c.vertices, c.interval.t1, c.interval.t0) for c in cliques)
+
+
+def _fold(state: PercolationState, cliques: Iterable[tuple[tuple[int, ...], Time, Time]]) -> None:
+    """Fold (vertices, end, begin) cliques into state, checking size and start order first.
 
     Subsets are visited by dropping vertex 0, 1, ..., k - 1 in turn, which is
     reversed lexicographic order. `root` is the root of the clique's community
@@ -147,9 +155,7 @@ def _fold(state: PercolationState, cliques: Iterable[TemporalKClique]) -> None:
     link = uf._link
     make_set = uf.make_set
     memberships = state.memberships
-    for clique in cliques:
-        verts = clique.vertices
-        t0, t1 = clique.interval.t0, clique.interval.t1
+    for verts, t1, t0 in cliques:
         if len(verts) != k:
             raise ValueError(f"expected a {k}-clique, got {len(verts)} vertices")
         if state.last_start is not None and t0 < state.last_start:
@@ -226,8 +232,17 @@ def materialize(state: PercolationState) -> list[TemporalCommunity]:
 
 
 def compute_communities(stream: LinkStream, k: int) -> list[TemporalCommunity]:
-    """End-to-end: links in, materialized temporal communities out."""
-    return materialize(run_lscpm(enumerate_k_cliques(stream, k), k))
+    """End-to-end: links in, materialized temporal communities out.
+
+    Folds the search's (vertices, end, begin) tuples as they come, with no
+    TemporalKClique built; equal to
+    materialize(run_lscpm(enumerate_k_cliques(stream, k), k)).
+    """
+    if k < 3:
+        raise ValueError(f"k must be at least 3, got {k}")
+    state = PercolationState(k=k)
+    _fold(state, _clique_keys(stream, k))
+    return materialize(state)
 
 
 def _merge_spans(spans: list[tuple[Time, Time]]) -> tuple[Interval, ...]:

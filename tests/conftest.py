@@ -1,4 +1,5 @@
 import sys
+from itertools import combinations
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -89,3 +90,19 @@ def durational_streams(draw) -> LinkStream:
 
 def streams() -> st.SearchStrategy[LinkStream]:
     return st.one_of(instant_streams(), durational_streams())
+
+
+@st.composite
+def dense_streams(draw) -> LinkStream:
+    """One link per pair on up to 9 vertices, so the window is nearly complete.
+
+    Begins in 0..4 and ends in b..12 give each edge its own end, so the edge
+    that ends a clique varies, and zero-length links and cliques that die at
+    their start occur.
+    """
+    n = draw(st.integers(3, 9))
+    links = []
+    for u, v in combinations(range(n), 2):
+        b = draw(st.integers(0, 4))
+        links.append(Link(b, draw(st.integers(b, 12)), u, v))
+    return LinkStream.from_links(links)

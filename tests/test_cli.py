@@ -261,6 +261,19 @@ class TestErrors:
         assert message in captured.err
         assert "_parse_time" not in captured.err
 
+    @pytest.mark.parametrize("argv", [
+        ["generate", "--vertices", "10", "--links", "30", "--span", "-1"],
+        ["enumerate", "--k", "3", "--delta", "3", "--format", "durational", "IN"],
+        ["communities", "--k", "2", "IN"],
+    ])
+    def test_usage_error_prints_subcommand_usage(self, capsys, known_file, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([known_file if arg == "IN" else arg for arg in argv])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"usage: lscpm {argv[0]} ")
+
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "enumerate", "--k", "3", "/nonexistent/file.txt")
         assert code == 1

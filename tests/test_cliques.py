@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import KNOWN_CLIQUES, streams
+from conftest import KNOWN_CLIQUES, dense_streams, streams
 
 from lscpm import (
     Interval,
@@ -18,22 +18,6 @@ from lscpm import (
     parse_links,
 )
 from lscpm.oracle import can_end_later, can_start_earlier, is_clique, oracle_enumerate, pair_spans
-
-
-@st.composite
-def dense_streams(draw) -> LinkStream:
-    """One link per pair on up to 9 vertices, so the window is nearly complete.
-
-    Begins in 0..4 and ends in b..12 give each edge its own end, so the edge
-    that ends a clique varies, and zero-length links and cliques that die at
-    their start occur.
-    """
-    n = draw(st.integers(3, 9))
-    links = []
-    for u, v in combinations(range(n), 2):
-        b = draw(st.integers(0, 4))
-        links.append(Link(b, draw(st.integers(b, 12)), u, v))
-    return LinkStream.from_links(links)
 
 
 def window_with(*links):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import KNOWN_COMMUNITY, streams
+from conftest import KNOWN_COMMUNITY, dense_streams, streams
 from helpers import canon, shuffle_within_batches
 
 from lscpm import (
@@ -17,6 +17,7 @@ from lscpm import (
     enumerate_k_cliques,
     materialize,
     oracle_communities,
+    parse_links,
     process_k_clique,
     run_lscpm,
 )
@@ -220,6 +221,31 @@ class TestComputeCommunities:
     def test_k_below_three_rejected(self, known_stream):
         with pytest.raises(ValueError):
             compute_communities(known_stream, 2)
+
+    @given(st.one_of(streams(), dense_streams()), st.integers(3, 6))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_public_chain(self, stream, k):
+        public = materialize(run_lscpm(enumerate_k_cliques(stream, k), k))
+        assert written(compute_communities(stream, k)) == written(public)
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_time_written_two_ways_matches_public_chain(self, k):
+        # 5 and 5.0 compare equal, so compare the written forms of every span
+        stream = parse_links("0 9.0 a b\n0.0 9 a c\n0 9 a d\n0 9 b c\n0.0 9.0 b d\n"
+                             "0 9 c d\n2 12.0 c e\n2.0 12 d e\n5.0 7 a e\n")
+        public = materialize(run_lscpm(enumerate_k_cliques(stream, k), k))
+        got = written(compute_communities(stream, k))
+        assert got == written(public)
+        forms = {form for _, members in got for _, spans in members for span in spans
+                 for form in span}
+        assert {"." in form for form in forms} == {True, False}  # both forms occur
+
+
+def written(communities):
+    """Ids, members in order and each span's endpoints as written (5 is not 5.0)."""
+    return [(c.id, [(v, [(repr(iv.t0), repr(iv.t1)) for iv in spans])
+                    for v, spans in c.members.items()])
+            for c in communities]
 
 
 class TestProperties:

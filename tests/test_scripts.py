@@ -1,0 +1,35 @@
+"""Smoke tests for the runnable scripts under scripts/."""
+
+import re
+import subprocess
+import sys
+
+from conftest import SRC
+
+SCRIPTS = SRC.parent / "scripts"
+
+
+def run_script(name, *args):
+    return subprocess.run([sys.executable, str(SCRIPTS / name), *args],
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_k_sweep_defaults():
+    # one row per k in 3..6; the script asserts nesting between neighbouring k
+    proc = run_script("k_sweep.py")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0].startswith("# ") and lines[0].endswith(" vertices")
+    assert lines[1] == "k,cliques,communities,seconds"
+    assert [line.split(",")[0] for line in lines[2:]] == ["3", "4", "5", "6"]
+
+
+def test_cli_digest_lists_one_digest_per_run(tmp_path, known_text):
+    path = tmp_path / "known.txt"
+    path.write_text(known_text)
+    proc = run_script("cli_digest.py", str(path))
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines
+    for line in lines:
+        assert re.match(r"^[0-9a-f]{64}  \S", line), line
