@@ -7,9 +7,10 @@ lists the (k - 2)-cliques among the common neighbors of u and v. A found vertex
 set C becomes the temporal clique (C, [b, min end time over the edges of C]).
 The search carries that end time as the clique grows and drops a branch as
 soon as its end is <= b, so candidates of zero length never form (a clique
-needs a strictly positive interval). Candidates sharing a begin time are
-deduplicated, so the output is exactly the set of maximal k-cliques, emitted
-by non-decreasing start time.
+needs a strictly positive interval). A maximal clique begins when the last of
+its links begins, so on a valid stream (pairs disjoint, links a set) the link
+that completes it finds it exactly once: the output is exactly the set of
+maximal k-cliques, emitted by non-decreasing start time with no dedup pass.
 
 The search hands each clique on as a plain (vertices, end, begin) tuple;
 compute_communities folds those tuples directly. A TemporalKClique is built
@@ -179,21 +180,20 @@ def enumerate_k_cliques(stream: LinkStream, k: int) -> Iterator[TemporalKClique]
 def _clique_keys(stream: LinkStream, k: int) -> Iterator[tuple[tuple[int, ...], Time, Time]]:
     """Yield (vertices, end, begin) for every maximal k-clique, by non-decreasing begin.
 
-    Cliques sharing a begin time are buffered as these keys, which
-    deduplicates repeat discoveries within the batch, until the time advances;
-    each batch is then yielded in key order.
+    Cliques sharing a begin time are buffered as these keys until the time
+    advances; each batch is then yielded in key order. Each clique is found
+    once, by the link that completes it, so the batch needs no dedup.
 
     A time may be written two ways, such as 5 and 5.0. A clique takes its
-    begin from the link that first found it in the batch and its end from the
-    first of its edges, in vertex-id order, that ends then. The search carries
-    ends by value, so that edge is looked up once a non-integer end has been
-    seen.
+    begin from the link that completes it and its end from the first of its
+    edges, in vertex-id order, that ends then. The search carries ends by
+    value, so that edge is looked up once a non-integer end has been seen.
     """
     if k < 3:
         raise ValueError(f"k must be at least 3, got {k}")
     g = WindowGraph()
     end_time = g.end_time
-    pending: set[tuple[tuple[int, ...], Time, Time]] = set()
+    pending: list[tuple[tuple[int, ...], Time, Time]] = []
     current_b: Time | None = None
     exact = False  # a non-integer end time has been seen
     for link in stream.links:
@@ -215,7 +215,7 @@ def _clique_keys(stream: LinkStream, k: int) -> Iterator[tuple[tuple[int, ...], 
         if found:
             if exact:
                 found = [(c, _first_end(end_time, c, end), b) for c, end, _ in found]
-            pending.update(found)
+            pending += found
     yield from sorted(pending)
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Iterable, NamedTuple
 
 Time = int | float
@@ -105,10 +106,14 @@ class LinkStream:
     def from_links(
         cls, links: Iterable[Link], labels: dict[int, str] | None = None
     ) -> LinkStream:
-        """Sort the links, first swapping any pair given as u > v."""
-        ordered = tuple(sorted(
-            ln if ln.u <= ln.v else Link(ln.b, ln.e, ln.v, ln.u) for ln in links
-        ))
+        """Sort the links, first swapping any pair given as u > v.
+
+        Links form a set: an exact repeat is kept once, as parse_links keeps a
+        repeated line once. Times compare by value, so a link written with 5
+        and again with 5.0 is one link, in the form it was first given.
+        """
+        ordered = sorted(ln if ln.u <= ln.v else Link(ln.b, ln.e, ln.v, ln.u) for ln in links)
+        ordered = tuple(ln for ln, _ in groupby(ordered))  # the first of each run of repeats
         if labels is None:
             seen = {x for ln in ordered for x in (ln.u, ln.v)}
             labels = {v: str(v) for v in sorted(seen)}
@@ -200,8 +205,13 @@ def _parse_time(token: str, line: int | None = None) -> Time:
 
 
 def _iter_lines(source) -> Iterable[str]:
+    """Lines of a text, split at LF, CRLF and CR only, as open() splits a file.
+
+    str.splitlines() would also split at form feeds and Unicode separators,
+    which can sit inside a comment.
+    """
     if isinstance(source, str):
-        return source.splitlines()
+        return source.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     return source  # file objects and other line iterables
 
 
@@ -218,7 +228,7 @@ def parse_links(source, format: str = "durational", delta: Time | None = None) -
     if format not in ("durational", "instantaneous"):
         raise ValueError(f"unknown format {format!r}")
     if format == "instantaneous":
-        instants, labels = _parse_instant_lines(_iter_lines(source))
+        instants, labels = _parse_instant_lines(_iter_lines(source), delta)
         if delta is None:
             raise ParseError("instantaneous input requires a positive delta")
         return apply_delta(instants, delta, labels)
@@ -264,7 +274,14 @@ def parse_links(source, format: str = "durational", delta: Time | None = None) -
     return LinkStream(tuple(kept), labels)
 
 
-def _parse_instant_lines(lines) -> tuple[list[tuple[Time, int, int]], dict[int, str]]:
+def _parse_instant_lines(
+    lines, delta: Time | None
+) -> tuple[list[tuple[Time, int, int]], dict[int, str]]:
+    """Records (t, u, v) and labels; a record whose end t + delta overflows is refused.
+
+    A missing or bad delta is left to the caller and to apply_delta to refuse.
+    """
+    bounded = delta is not None and 0 < delta < math.inf
     ids: dict[str, int] = {}
     instants: list[tuple[Time, int, int]] = []
     for lineno, raw in enumerate(lines, 1):
@@ -275,12 +292,22 @@ def _parse_instant_lines(lines) -> tuple[list[tuple[Time, int, int]], dict[int, 
         if len(parts) != 3:
             raise ParseError(f"expected 't u v', got {len(parts)} fields", lineno)
         t = _parse_time(parts[0], lineno)
+        if bounded and _end_overflows(t, delta):
+            raise ParseError(f"non-finite end time: {parts[0]} + {delta!r} overflows", lineno)
         if parts[1] == parts[2]:
             raise ParseError(f"self-loop on vertex {parts[1]!r}", lineno)
         u = ids.setdefault(parts[1], len(ids))
         v = ids.setdefault(parts[2], len(ids))
         instants.append((t, u, v))
     return instants, {i: lab for lab, i in ids.items()}
+
+
+def _end_overflows(t: Time, delta: Time) -> bool:
+    """Whether t + delta overflows to infinity; so does an int too large for a float."""
+    try:
+        return t + delta == math.inf
+    except OverflowError:
+        return True
 
 
 def apply_delta(
@@ -292,7 +319,8 @@ def apply_delta(
 
     Records on the same pair whose expanded intervals overlap *or touch* are
     merged into a single link over the union of the intervals, which restores
-    the pair-disjointness invariant.
+    the pair-disjointness invariant. Raises ValueError for a record whose end
+    t + delta overflows to infinity.
     """
     if not 0 < delta < math.inf:
         raise ValueError(f"delta must be positive and finite, got {delta!r}")
@@ -305,6 +333,9 @@ def apply_delta(
     links: list[Link] = []
     for (u, v), ts in by_pair.items():
         ts.sort()
+        if _end_overflows(ts[-1], delta):
+            raise ValueError(f"instant {ts[-1]!r} on pair ({u}, {v}) ends at a non-finite time"
+                             f" with delta {delta!r}")
         start = ts[0]
         end = ts[0] + delta
         for t in ts[1:]:

@@ -41,16 +41,17 @@ __all__ = [
 
 
 class UnionFind:
-    """Disjoint-set forest with union by rank and path compression.
+    """Disjoint-set forest with path compression; each root is its set's smallest id.
 
     Node ids are dense integers handed out by make_set in creation order.
+    Linking the larger root under the smaller, with path compression, keeps
+    find amortized logarithmic (Tarjan & van Leeuwen 1984) without ranks.
     """
 
-    __slots__ = ("_parent", "_rank")
+    __slots__ = ("_parent",)
 
     def __init__(self):
         self._parent: list[int] = []
-        self._rank: list[int] = []
 
     def __len__(self) -> int:
         return len(self._parent)
@@ -58,7 +59,6 @@ class UnionFind:
     def make_set(self) -> int:
         node = len(self._parent)
         self._parent.append(node)
-        self._rank.append(0)
         return node
 
     def find(self, x: int) -> int:
@@ -73,7 +73,7 @@ class UnionFind:
         return root
 
     def union(self, p: int, q: int) -> int:
-        """Merge the sets of p and q and return the surviving root."""
+        """Merge the sets of p and q and return the surviving root, the smaller id."""
         rp = self.find(p)
         rq = self.find(q)
         if rp == rq:
@@ -81,13 +81,10 @@ class UnionFind:
         return self._link(rp, rq)
 
     def _link(self, rp: int, rq: int) -> int:
-        """Join two distinct roots by rank; returns the surviving root."""
-        rank = self._rank
-        if rank[rp] < rank[rq]:
+        """Hang the larger of two distinct roots under the smaller; returns the smaller."""
+        if rq < rp:
             rp, rq = rq, rp
         self._parent[rq] = rp
-        if rank[rp] == rank[rq]:
-            rank[rp] += 1
         return rp
 
 
@@ -210,8 +207,8 @@ def materialize(state: PercolationState) -> list[TemporalCommunity]:
     Every membership (node, [start, end]) of a subset key adds each vertex of
     the key to the community of node's root over [start, end]; per-vertex
     intervals are then unioned, merging overlapping or touching spans.
-    Communities are labeled 0..c-1 by first appearance: scanning node ids
-    upward, which is creation order and follows clique start times.
+    Communities are labeled 0..c-1 in order of their root, which is the
+    smallest node id of the set: creation order, following clique start times.
     """
     uf = state.uf
     roots = [uf.find(node) for node in range(len(uf))]
@@ -223,11 +220,9 @@ def materialize(state: PercolationState) -> list[TemporalCommunity]:
             for v in key:
                 vertex_spans.setdefault(v, []).append(span)
     communities: list[TemporalCommunity] = []
-    for root in roots:
-        vertex_spans = spans_by_root.pop(root, None)
-        if vertex_spans is not None:
-            members = {v: _merge_spans(spans) for v, spans in sorted(vertex_spans.items())}
-            communities.append(TemporalCommunity(len(communities), members))
+    for _, vertex_spans in sorted(spans_by_root.items()):
+        members = {v: _merge_spans(spans) for v, spans in sorted(vertex_spans.items())}
+        communities.append(TemporalCommunity(len(communities), members))
     return communities
 
 

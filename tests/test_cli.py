@@ -183,6 +183,13 @@ class TestGenerate:
             b, e, u, v = line.split()
             assert int(e) - int(b) >= 3
 
+    def test_delta_end_overflow_is_data_error(self, capsys):
+        code, out, err = run_cli(capsys, "generate", "--vertices", "2", "--links", "3",
+                                 "--span", str(10**308), "--seed", "1", "--delta", "1.7e308")
+        assert code == 1
+        assert out == ""
+        assert "non-finite" in err
+
     @pytest.mark.parametrize("options, message", [
         ("--vertices 1 --links 30 --span 50", "need at least two vertices"),
         ("--vertices 10 --links 30 --span 50 --block 4", "block must be >= 2 and divide"),
@@ -225,6 +232,28 @@ class TestErrors:
         path = tmp_path / "bad.txt"
         path.write_text(text)
         code, out, err = run_cli(capsys, "communities", "--k", "3", str(path))
+        assert code == 1
+        assert out == ""
+        assert "line 1" in err and "non-finite" in err
+
+    def test_form_feed_in_comment_is_not_a_line_break(self, capsys, tmp_path):
+        path = tmp_path / "exported.txt"
+        path.write_text("# exported\x0cpage 2\n0 5 a b\n0 5 a c\n0 5 b c\n", encoding="utf-8")
+        assert run_cli(capsys, "enumerate", "--k", "3", str(path)) == (0, "0 5 a b c\n", "")
+
+    def test_line_separator_in_comment_keeps_line_numbers(self, capsys, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("0 5 a b\n# note\u2028tail\n0 5 a c\n0 5 b c\n1 2 x\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "enumerate", "--k", "3", str(path))
+        assert code == 1
+        assert out == ""
+        assert err == "error: line 5: expected 'b e u v', got 3 fields\n"
+
+    @pytest.mark.parametrize("command", ["enumerate", "communities"])
+    def test_end_overflow_names_line(self, capsys, tmp_path, command):
+        path = tmp_path / "late.txt"
+        path.write_text("1.7e308 a b\n1.7e308 a c\n1.7e308 b c\n")
+        code, out, err = run_cli(capsys, command, "--k", "3", "--delta", "1e308", str(path))
         assert code == 1
         assert out == ""
         assert "line 1" in err and "non-finite" in err

@@ -196,6 +196,16 @@ class TestEnumerate:
         assert len(got) == len(set(got))
         assert set(got) == oracle_enumerate(stream, k)
 
+    @given(st.one_of(streams(), dense_streams()), st.integers(3, 5))
+    @settings(max_examples=60, deadline=None)
+    def test_repeated_links_give_each_clique_once(self, stream, k):
+        # from_links keeps one copy of each link, and the link that completes
+        # a clique finds it once, so no batch needs a dedup pass
+        doubled = LinkStream.from_links(stream.links * 2, stream.labels)
+        got = list(enumerate_k_cliques(doubled, k))
+        assert len(got) == len(set(got))
+        assert got == list(enumerate_k_cliques(stream, k))
+
     @given(streams())
     @settings(max_examples=40, deadline=None)
     def test_emission_order_and_maximality(self, stream):

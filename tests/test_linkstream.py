@@ -59,6 +59,20 @@ class TestLink:
         ]
 
 
+class TestFromLinks:
+    @pytest.mark.parametrize("repeat", [Link(0, 5, 0, 1), Link(0, 5.0, 0, 1), Link(0, 5, 1, 0)])
+    def test_repeated_link_kept_once(self, repeat):
+        # links form a set, as in parse_links: 5 and 5.0 are one time, and a
+        # pair given as u > v is the same pair
+        stream = LinkStream.from_links([Link(0, 5, 0, 1), Link(2, 9, 1, 2), repeat])
+        assert stream.links == (Link(0, 5, 0, 1), Link(2, 9, 1, 2))
+        assert validate(stream) == []
+
+    def test_repeat_keeps_the_form_given_first(self):
+        stream = LinkStream.from_links([Link(0, 5.0, 0, 1), Link(0, 5, 0, 1)])
+        assert [repr(ln.e) for ln in stream.links] == ["5.0"]
+
+
 class TestParse:
     def test_single_link_with_label_mapping(self):
         stream = parse_links("1 13 c d")
@@ -126,6 +140,30 @@ class TestParse:
             parse_links("\n".join(lines), format=fmt, delta=1)
         assert exc.value.line == bad_line
 
+    @pytest.mark.parametrize("sep", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                                     "\u2028", "\u2029"],
+                             ids=["VT", "FF", "FS", "GS", "RS", "NEL", "LS", "PS"])
+    @pytest.mark.parametrize("fmt, valid, bad", [
+        ("durational", "0 5 {}", "1 2 x"),
+        ("instantaneous", "0 {}", "1 x"),
+    ], ids=["durational", "instantaneous"])
+    def test_lines_split_at_newlines_only(self, sep, fmt, valid, bad):
+        # a separator inside a comment leaves the comment whole, so the error
+        # on line 5 is the one reported; \r\n and \r still end a line
+        lines = [valid.format("a b"), f"# exported{sep}page 2", valid.format("a c"),
+                 valid.format("b c"), bad]
+        text = lines[0] + "\n" + lines[1] + "\r\n" + lines[2] + "\r" + "\n".join(lines[3:])
+        with pytest.raises(ParseError) as exc:
+            parse_links(text, format=fmt, delta=1)
+        assert exc.value.line == 5
+        assert len(parse_links("\n".join(lines[:4]), format=fmt, delta=1).links) == 3
+
+    @pytest.mark.parametrize("t, delta", [("1.7e308", 1e308), (str(10**400), 1.5)])
+    def test_instant_whose_end_overflows_reports_its_line(self, t, delta):
+        with pytest.raises(ParseError, match="non-finite") as exc:
+            parse_links(f"0 a b\n# note\n{t} a c\n", format="instantaneous", delta=delta)
+        assert exc.value.line == 3
+
     def test_overlapping_pair_rejected_with_lines(self):
         with pytest.raises(ParseError, match="lines 1 and 2"):
             parse_links("1 5 a b\n3 8 a b")
@@ -185,6 +223,14 @@ class TestApplyDelta:
     def test_self_loop_instant_rejected(self):
         with pytest.raises(ValueError):
             apply_delta([(0, 2, 2)], 1)
+
+    @pytest.mark.parametrize("t, delta", [(1.7e308, 1e308), (10**400, 1.5)])
+    def test_end_past_the_largest_float_rejected(self, t, delta):
+        with pytest.raises(ValueError, match="non-finite"):
+            apply_delta([(0, 0, 1), (t, 1, 2)], delta)
+
+    def test_large_int_end_is_finite(self):
+        assert apply_delta([(10**400, 0, 1)], 2).links == (Link(10**400, 10**400 + 2, 0, 1),)
 
     @given(streams())
     @settings(max_examples=60, deadline=None)

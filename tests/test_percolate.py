@@ -64,6 +64,21 @@ class TestUnionFind:
         assert root in (a, b)
         assert uf.find(a) == uf.find(b) == root
 
+    @given(st.integers(1, 12), st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)),
+                                        max_size=30))
+    @settings(max_examples=80, deadline=None)
+    def test_root_is_smallest_id_of_its_set(self, n, pairs):
+        uf = UnionFind()
+        for _ in range(n):
+            uf.make_set()
+        label = list(range(n))  # brute-force partition: each id's smallest set member
+        for p, q in pairs:
+            p, q = p % n, q % n
+            low = min(label[p], label[q])
+            label = [low if x in (label[p], label[q]) else x for x in label]
+            assert uf.union(p, q) == low
+        assert [uf.find(x) for x in range(n)] == label
+
     def test_unknown_id_rejected(self):
         uf = UnionFind()
         uf.make_set()

@@ -33,3 +33,23 @@ def test_cli_digest_lists_one_digest_per_run(tmp_path, known_text):
     assert lines
     for line in lines:
         assert re.match(r"^[0-9a-f]{64}  \S", line), line
+
+
+def test_scaling_experiment_small_sizes():
+    proc = run_script("scaling_experiment.py", "--sizes", "2000,4000")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "instants,links,k,seconds,communities"
+    assert [line.split(",")[0] for line in lines[1:]] == ["2000", "4000"]
+
+
+def test_cli_digest_passes_delta(tmp_path):
+    path = tmp_path / "instants.txt"
+    path.write_text("0 a b\n1 a c\n1 b c\n")
+    proc = run_script("cli_digest.py", "--delta", "2", str(path))
+    assert proc.returncode == 0, proc.stderr
+    on_file = [line for line in proc.stdout.splitlines() if line.endswith(str(path))]
+    assert on_file
+    for line in on_file:
+        assert re.match(r"^[0-9a-f]{64}  \S", line), line
+        assert " --delta 2 " in line, line
