@@ -2,8 +2,9 @@
 """Print one sha256 per CLI run, to check that two checkouts give the same bytes.
 
 Runs the ``lscpm`` CLI of the checkout this script sits in on each input file:
-enumerate, communities and stats with space, csv and tsv output, compare and
-oracle, for k = 3, 4 and 5, plus two fixed generate runs. Each line reads
+enumerate, communities and stats with space, csv and tsv output, compare
+(alone, against k + 1 and at snapshot times 0, 4.5 and 9) and oracle, for
+k = 3, 4 and 5, plus two fixed generate runs. Each line reads
 ``<sha256>  <arguments>``; the digest covers stdout, stderr and the exit code.
 To compare a change with its parent, run the script of each checkout on the
 same paths and diff the two listings:
@@ -25,6 +26,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 KS = (3, 4, 5)
+SNAPSHOT_TIMES = "0,4.5,9"
 
 GENERATE = (
     ["generate", "--vertices", "30", "--links", "400", "--span", "100", "--seed", "1"],
@@ -52,6 +54,8 @@ def runs(path: str, delta: str | None) -> list[list[str]]:
             for output in ([], ["--output", "csv"], ["--output", "tsv"]):
                 out.append([command, "--k", str(k), *output, *extra, path])
         out.append(["compare", "--k1", str(k), *extra, path])
+        out.append(["compare", "--k1", str(k), "--k2", str(k + 1), *extra, path])
+        out.append(["compare", "--k1", str(k), "--snapshot-times", SNAPSHOT_TIMES, *extra, path])
         out.append(["oracle", "--k", str(k), *extra, path])
     return out
 

@@ -171,7 +171,9 @@ def enumerate_k_cliques(stream: LinkStream, k: int) -> Iterator[TemporalKClique]
     """Yield every maximal k-clique of the stream, by non-decreasing start time.
 
     Wraps each (vertices, end, begin) key of _clique_keys into a
-    TemporalKClique; compute_communities folds the keys themselves.
+    TemporalKClique; compute_communities folds the keys themselves. The
+    stream must be valid (validate(stream) == []): links that overlap on one
+    pair, which from_links accepts, yield a clique once per overlapping link.
     """
     for c, end, b in _clique_keys(stream, k):
         yield TemporalKClique(c, Interval(b, end))

@@ -111,6 +111,8 @@ class LinkStream:
         Links form a set: an exact repeat is kept once, as parse_links keeps a
         repeated line once. Times compare by value, so a link written with 5
         and again with 5.0 is one link, in the form it was first given.
+        Nothing else is checked: links that overlap on one pair are kept, so
+        run validate() before handing the stream to enumerate_k_cliques.
         """
         ordered = sorted(ln if ln.u <= ln.v else Link(ln.b, ln.e, ln.v, ln.u) for ln in links)
         ordered = tuple(ln for ln, _ in groupby(ordered))  # the first of each run of repeats
@@ -220,42 +222,58 @@ def parse_links(source, format: str = "durational", delta: Time | None = None) -
 
     Durational lines are ``b e u v``; instantaneous lines are ``t u v`` and
     require ``delta``, the uniform duration given to each instant (handled by
-    :func:`apply_delta`). Fields are whitespace-separated; blank lines and
-    ``#``-prefixed comment lines are skipped. External labels are mapped to
-    dense vertex ids in order of first appearance. Raises ParseError with the
-    offending line number on malformed input or a broken invariant.
+    :func:`apply_delta`). One line loop reads both: fields split at
+    whitespace, blank and ``#`` comment lines are skipped, and external labels
+    map to dense vertex ids in order of first appearance. Raises ParseError
+    with the offending line number on malformed input or a broken invariant,
+    such as an instant whose end t + delta overflows; a missing delta is
+    reported after every line is read.
     """
     if format not in ("durational", "instantaneous"):
         raise ValueError(f"unknown format {format!r}")
-    if format == "instantaneous":
-        instants, labels = _parse_instant_lines(_iter_lines(source), delta)
-        if delta is None:
-            raise ParseError("instantaneous input requires a positive delta")
-        return apply_delta(instants, delta, labels)
-
+    instant = format == "instantaneous"
+    width, shape = (3, "'t u v'") if instant else (4, "'b e u v'")
+    bounded = instant and delta is not None and 0 < delta < math.inf
     ids: dict[str, int] = {}
+    instants: list[tuple[Time, int, int]] = []
     entries: list[tuple[Link, int]] = []
     for lineno, raw in enumerate(_iter_lines(source), 1):
         text = raw.strip()
         if not text or text.startswith("#"):
             continue
         parts = text.split()
-        if len(parts) != 4:
-            raise ParseError(f"expected 'b e u v', got {len(parts)} fields", lineno)
-        b = _parse_time(parts[0], lineno)
-        e = _parse_time(parts[1], lineno)
-        if e < b:
-            raise ParseError(f"link ends at {parts[1]} before it begins at {parts[0]}", lineno)
-        if parts[2] == parts[3]:
-            raise ParseError(f"self-loop on vertex {parts[2]!r}", lineno)
-        u = ids.setdefault(parts[2], len(ids))
-        v = ids.setdefault(parts[3], len(ids))
-        entries.append((Link(b, e, u, v) if u < v else Link(b, e, v, u), lineno))
+        if len(parts) != width:
+            raise ParseError(f"expected {shape}, got {len(parts)} fields", lineno)
+        if instant:
+            t, x, y = parts
+            b = _parse_time(t, lineno)
+            if bounded and _end_overflows(b, delta):
+                raise ParseError(f"non-finite end time: {t} + {delta!r} overflows", lineno)
+        else:
+            t, s, x, y = parts
+            b = _parse_time(t, lineno)
+            e = _parse_time(s, lineno)
+            if e < b:
+                raise ParseError(f"link ends at {s} before it begins at {t}", lineno)
+        if x == y:
+            raise ParseError(f"self-loop on vertex {x!r}", lineno)
+        u = ids.setdefault(x, len(ids))
+        v = ids.setdefault(y, len(ids))
+        if v < u:
+            u, v = v, u
+        if instant:
+            instants.append((b, u, v))
+        else:
+            entries.append((Link(b, e, u, v), lineno))
+    labels = {i: lab for lab, i in ids.items()}
+    if instant:
+        if delta is None:
+            raise ParseError("instantaneous input requires a positive delta")
+        return apply_delta(instants, delta, labels)
 
     # One sort orders the links chronologically and, per pair, by (b, e), so a
     # single pass against the last kept link of each pair finds every overlap.
     entries.sort()
-    labels = {i: lab for lab, i in ids.items()}
     last: dict[tuple[int, int], tuple[Link, int]] = {}
     kept: list[Link] = []
     for link, lineno in entries:
@@ -272,34 +290,6 @@ def parse_links(source, format: str = "durational", delta: Time | None = None) -
         kept.append(link)
         last[link.pair] = (link, lineno)
     return LinkStream(tuple(kept), labels)
-
-
-def _parse_instant_lines(
-    lines, delta: Time | None
-) -> tuple[list[tuple[Time, int, int]], dict[int, str]]:
-    """Records (t, u, v) and labels; a record whose end t + delta overflows is refused.
-
-    A missing or bad delta is left to the caller and to apply_delta to refuse.
-    """
-    bounded = delta is not None and 0 < delta < math.inf
-    ids: dict[str, int] = {}
-    instants: list[tuple[Time, int, int]] = []
-    for lineno, raw in enumerate(lines, 1):
-        text = raw.strip()
-        if not text or text.startswith("#"):
-            continue
-        parts = text.split()
-        if len(parts) != 3:
-            raise ParseError(f"expected 't u v', got {len(parts)} fields", lineno)
-        t = _parse_time(parts[0], lineno)
-        if bounded and _end_overflows(t, delta):
-            raise ParseError(f"non-finite end time: {parts[0]} + {delta!r} overflows", lineno)
-        if parts[1] == parts[2]:
-            raise ParseError(f"self-loop on vertex {parts[1]!r}", lineno)
-        u = ids.setdefault(parts[1], len(ids))
-        v = ids.setdefault(parts[2], len(ids))
-        instants.append((t, u, v))
-    return instants, {i: lab for lab, i in ids.items()}
 
 
 def _end_overflows(t: Time, delta: Time) -> bool:
@@ -319,8 +309,10 @@ def apply_delta(
 
     Records on the same pair whose expanded intervals overlap *or touch* are
     merged into a single link over the union of the intervals, which restores
-    the pair-disjointness invariant. Raises ValueError for a record whose end
-    t + delta overflows to infinity.
+    the pair-disjointness invariant. A pair may be given as u > v; of equal
+    times written as 5 and 5.0, the form given first is kept. ``labels``
+    defaults to each vertex id's own string. Raises ValueError for a record
+    whose end t + delta overflows to infinity.
     """
     if not 0 < delta < math.inf:
         raise ValueError(f"delta must be positive and finite, got {delta!r}")
@@ -346,7 +338,10 @@ def apply_delta(
                 links.append(Link(start, end, u, v))
                 start, end = t, t + delta
         links.append(Link(start, end, u, v))
-    return LinkStream.from_links(links, labels)
+    links.sort()  # unique links with u < v: sorted, they are the stream
+    if labels is None:
+        labels = {x: str(x) for x in sorted({x for pair in by_pair for x in pair})}
+    return LinkStream(tuple(links), dict(labels))
 
 
 def serialize(stream: LinkStream) -> str:

@@ -10,9 +10,10 @@ to be fast.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .cliques import TemporalKClique
 from .linkstream import Interval, LinkStream, Time
@@ -127,22 +128,16 @@ def _adjacent(a: TemporalKClique, b: TemporalKClique, k: int) -> bool:
     return shared == k - 1 and a.interval.overlap_length(b.interval) > 0
 
 
-def oracle_communities(
-    cliques: Sequence[TemporalKClique], k: int
-) -> tuple[list[list[TemporalKClique]], list[TemporalCommunity]]:
-    """Partition cliques into communities via the explicit adjacency graph.
+def _components(n: int, adjacent: Callable[[int, int], bool]) -> list[list[int]]:
+    """Connected components of nodes 0..n-1, joined where adjacent(i, j).
 
-    Two cliques are adjacent when they share k - 1 vertices and their
-    intervals overlap with strictly positive length. Returns the clique
-    partition (one list per connected component) and the materialized
-    temporal communities.
+    Each pair is tested once, with i < j. Components come in order of their
+    smallest node, each listing its nodes in depth-first visiting order.
     """
-    cliques = list(cliques)
-    n = len(cliques)
     neighbors: list[list[int]] = [[] for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            if _adjacent(cliques[i], cliques[j], k):
+            if adjacent(i, j):
                 neighbors[i].append(j)
                 neighbors[j].append(i)
     seen = [False] * n
@@ -161,6 +156,21 @@ def oracle_communities(
                     seen[j] = True
                     stack.append(j)
         components.append(comp)
+    return components
+
+
+def oracle_communities(
+    cliques: Sequence[TemporalKClique], k: int
+) -> tuple[list[list[TemporalKClique]], list[TemporalCommunity]]:
+    """Partition cliques into communities via the explicit adjacency graph.
+
+    Two cliques are adjacent when they share k - 1 vertices and their
+    intervals overlap with strictly positive length. Returns the clique
+    partition (one list per connected component) and the materialized
+    temporal communities.
+    """
+    cliques = list(cliques)
+    components = _components(len(cliques), lambda i, j: _adjacent(cliques[i], cliques[j], k))
     components.sort(key=lambda comp: min((cliques[i].interval.t0, cliques[i].vertices) for i in comp))
     partition = [[cliques[i] for i in sorted(comp)] for comp in components]
     communities = []
@@ -211,29 +221,9 @@ def snapshot_cpm(stream: LinkStream, t: Time, k: int) -> list[frozenset[int]]:
             f"snapshot at t={t!r} too large for the brute-force oracle:"
             f" {n} {k}-cliques, limit {MAX_SNAPSHOT_CLIQUES}"
         )
-    neighbors: list[list[int]] = [[] for _ in range(n)]
     sets = [set(c) for c in cliques]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if len(sets[i] & sets[j]) == k - 1:
-                neighbors[i].append(j)
-                neighbors[j].append(i)
-    seen = [False] * n
-    out: list[frozenset[int]] = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        stack = [start]
-        seen[start] = True
-        vertices: set[int] = set()
-        while stack:
-            i = stack.pop()
-            vertices |= sets[i]
-            for j in neighbors[i]:
-                if not seen[j]:
-                    seen[j] = True
-                    stack.append(j)
-        out.append(frozenset(vertices))
+    components = _components(n, lambda i, j: len(sets[i] & sets[j]) == k - 1)
+    out = [frozenset().union(*(sets[i] for i in comp)) for comp in components]
     out.sort(key=lambda c: sorted(c))
     return out
 
@@ -330,17 +320,17 @@ def compare_communities(
     a: Sequence[TemporalCommunity], b: Sequence[TemporalCommunity]
 ) -> ComparisonReport:
     """Compare two community lists as label-free multisets, with containment."""
-    canon_a = sorted(sorted(c.canonical()) for c in a)
-    canon_b = sorted(sorted(c.canonical()) for c in b)
+    canon_a = Counter(c.canonical() for c in a)
+    canon_b = Counter(c.canonical() for c in b)
     equal = canon_a == canon_b
-    a_in_b = all(containing_communities(x, b) for x in a)
-    b_in_a = all(containing_communities(x, a) for x in b)
+    a_in_b = all(any(community_contains(o, x) for o in b) for x in a)
+    b_in_a = all(any(community_contains(o, x) for o in a) for x in b)
     diffs: list[str] = []
     if not equal:
-        only_a = [c for c in canon_a if c not in canon_b]
-        only_b = [c for c in canon_b if c not in canon_a]
+        only_a = sum(n for c, n in canon_a.items() if c not in canon_b)
+        only_b = sum(n for c, n in canon_b.items() if c not in canon_a)
         if only_a:
-            diffs.append(f"{len(only_a)} community(ies) only on side a")
+            diffs.append(f"{only_a} community(ies) only on side a")
         if only_b:
-            diffs.append(f"{len(only_b)} community(ies) only on side b")
+            diffs.append(f"{only_b} community(ies) only on side b")
     return ComparisonReport(equal, a_in_b, b_in_a, tuple(diffs))

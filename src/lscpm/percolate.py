@@ -231,7 +231,8 @@ def compute_communities(stream: LinkStream, k: int) -> list[TemporalCommunity]:
 
     Folds the search's (vertices, end, begin) tuples as they come, with no
     TemporalKClique built; equal to
-    materialize(run_lscpm(enumerate_k_cliques(stream, k), k)).
+    materialize(run_lscpm(enumerate_k_cliques(stream, k), k)). Like
+    enumerate_k_cliques, it requires a valid stream (validate(stream) == []).
     """
     if k < 3:
         raise ValueError(f"k must be at least 3, got {k}")

@@ -193,6 +193,13 @@ class TestParse:
         with pytest.raises(ParseError, match="line 1"):
             parse_links("1 a a", format="instantaneous", delta=2)
 
+    @pytest.mark.parametrize("delta", [2, None])
+    def test_instantaneous_malformed_line_number(self, delta):
+        # a bad line is reported before a missing delta, which waits for the end
+        with pytest.raises(ParseError, match="expected 't u v', got 4 fields") as exc:
+            parse_links("0 a b\n# note\n1 2 a c\n", format="instantaneous", delta=delta)
+        assert exc.value.line == 3
+
 
 class TestApplyDelta:
     def test_single_instant(self):
@@ -231,6 +238,30 @@ class TestApplyDelta:
 
     def test_large_int_end_is_finite(self):
         assert apply_delta([(10**400, 0, 1)], 2).links == (Link(10**400, 10**400 + 2, 0, 1),)
+
+    def test_equal_times_keep_the_form_given_first(self):
+        stream = apply_delta([(5.0, 1, 0), (5, 0, 1), (9, 2, 1), (9.0, 1, 2)], 2)
+        assert [(repr(ln.b), repr(ln.e)) for ln in stream.links] == [("5.0", "7.0"), ("9", "11")]
+
+    @given(
+        st.lists(st.tuples(st.integers(0, 30).flatmap(lambda t: st.sampled_from([t, float(t)])),
+                           st.integers(0, 5), st.integers(0, 5)).filter(lambda r: r[1] != r[2]),
+                 min_size=1, max_size=25),
+        st.lists(st.integers(0, 24), max_size=6),
+        st.sampled_from([1, 2, 2.5, 4]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_output_is_its_own_from_links(self, records, repeats, delta):
+        # apply_delta builds the stream itself; from_links, which would sort,
+        # swap and drop repeats, must find nothing to change, time forms included
+        records += [records[i % len(records)] for i in repeats]
+        stream = apply_delta(records, delta)
+        rebuilt = LinkStream.from_links(stream.links)
+        assert stream.links == rebuilt.links
+        assert [tuple(map(repr, ln)) for ln in stream.links] == \
+            [tuple(map(repr, ln)) for ln in rebuilt.links]
+        assert stream.labels == rebuilt.labels
+        assert list(stream.labels) == list(rebuilt.labels)
 
     @given(streams())
     @settings(max_examples=60, deadline=None)

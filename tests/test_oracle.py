@@ -2,6 +2,7 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import KNOWN_CLIQUES, streams
 from helpers import canon
@@ -18,6 +19,7 @@ from lscpm import (
     snapshot_cpm,
 )
 from lscpm.oracle import (
+    ComparisonReport,
     can_end_later,
     can_start_earlier,
     community_contains,
@@ -129,7 +131,45 @@ def community(cid, members):
                                    for v, spans in members.items()})
 
 
+# span sets that are equal in value but written with ints or floats, nested
+# and disjoint, so drawn communities compare equal, contain each other or not
+SPAN_SETS = [((0, 5),), ((0.0, 5.0),), ((0, 10),), ((2, 5),), ((0, 3), (6, 9)), ((6.0, 9),)]
+communities = st.lists(
+    st.dictionaries(st.integers(0, 3), st.sampled_from(SPAN_SETS), min_size=1, max_size=3)
+    .map(lambda members: community(0, members)),
+    max_size=5,
+)
+
+
+def reference_report(a, b):
+    """compare_communities written out by its definition: sorted canonical
+    lists for equality, list membership for the diff counts and
+    containing_communities for containment."""
+    canon_a = sorted(sorted(c.canonical()) for c in a)
+    canon_b = sorted(sorted(c.canonical()) for c in b)
+    equal = canon_a == canon_b
+    a_in_b = all(containing_communities(x, b) for x in a)
+    b_in_a = all(containing_communities(x, a) for x in b)
+    diffs = []
+    if not equal:
+        only_a = [c for c in canon_a if c not in canon_b]
+        only_b = [c for c in canon_b if c not in canon_a]
+        if only_a:
+            diffs.append(f"{len(only_a)} community(ies) only on side a")
+        if only_b:
+            diffs.append(f"{len(only_b)} community(ies) only on side b")
+    return ComparisonReport(equal, a_in_b, b_in_a, tuple(diffs))
+
+
 class TestCompare:
+    @given(communities, communities, st.lists(st.integers(0, 9), max_size=3))
+    @settings(max_examples=150, deadline=None)
+    def test_report_matches_the_definition(self, a, b, repeats):
+        if a:
+            a += [a[i % len(a)] for i in repeats]  # the lists are multisets
+        for x, y in ((a, b), (b, a), (a, a)):
+            assert compare_communities(x, y) == reference_report(x, y)
+
     def test_permuted_labels_are_equal(self):
         a = [community(0, {0: [(0, 5)], 1: [(0, 5)]}), community(1, {2: [(3, 9)]})]
         b = [community(7, {2: [(3, 9)]}), community(4, {0: [(0, 5)], 1: [(0, 5)]})]

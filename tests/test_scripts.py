@@ -33,6 +33,11 @@ def test_cli_digest_lists_one_digest_per_run(tmp_path, known_text):
     assert lines
     for line in lines:
         assert re.match(r"^[0-9a-f]{64}  \S", line), line
+    # compare against k + 1 and at snapshot times is listed for every k
+    for k in (3, 4, 5):
+        assert any(f"  compare --k1 {k} --k2 {k + 1} {path}" in line for line in lines), k
+        assert any(f"  compare --k1 {k} --snapshot-times 0,4.5,9 {path}" in line
+                   for line in lines), k
 
 
 def test_scaling_experiment_small_sizes():
