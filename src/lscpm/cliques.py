@@ -1,7 +1,10 @@
 """Streaming enumeration of all maximal k-cliques of a link stream.
 
 One chronological pass over the links maintains the window graph of currently
-alive edges. Each incoming link (b, e, u, v) triggers a static k-clique search
+alive edges: each vertex maps every live neighbor to the end of the link they
+share, and the edges ending before a new begin time are dropped once per
+distinct begin time, from one bucket of pairs per end time. Each incoming link
+(b, e, u, v) with a live neighbor at both ends triggers a static k-clique search
 around {u, v}: one recursion in increasing vertex id, the same for every k,
 lists the (k - 2)-cliques among the common neighbors of u and v. A found vertex
 set C becomes the temporal clique (C, [b, min end time over the edges of C]).
@@ -46,46 +49,72 @@ class TemporalKClique:
 class WindowGraph:
     """Static graph of the links alive at the current stream position.
 
-    ``end_time`` keeps the ending time of each alive edge; expiry pops a heap
-    of (end, u, v) entries, skipping entries made stale by a later re-add of
-    the same pair.
+    ``adj`` maps each vertex to a dict from each live neighbor to the end of
+    the link they share, so one lookup answers both "linked?" and "until
+    when?"; a vertex with no live neighbor has no entry. Expiry keeps one
+    bucket of pairs per distinct end time and a heap of those end times, so
+    the heap is touched once per end time, not once per link. A bucket entry
+    whose pair was re-added with another end, or already dropped, is stale
+    and skipped.
     """
 
-    __slots__ = ("adj", "end_time", "_expiry")
+    __slots__ = ("adj", "_buckets", "_ends", "_live")
 
     def __init__(self):
-        self.adj: dict[int, set[int]] = {}
-        self.end_time: dict[tuple[int, int], Time] = {}
-        self._expiry: list[tuple[Time, int, int]] = []
+        self.adj: dict[int, dict[int, Time]] = {}
+        self._buckets: dict[Time, list[tuple[int, int]]] = {}
+        self._ends: list[Time] = []  # heap of the keys of _buckets
+        self._live = 0
 
     def __len__(self) -> int:
-        return len(self.end_time)
+        return self._live
 
     def add(self, link: Link) -> None:
         _, e, u, v = link
-        self.adj.setdefault(u, set()).add(v)
-        self.adj.setdefault(v, set()).add(u)
-        self.end_time[u, v] = e
-        heapq.heappush(self._expiry, (e, u, v))
+        adj = self.adj
+        nu = adj.get(u)
+        if nu is None:
+            adj[u] = {v: e}
+            self._live += 1
+        else:
+            if v not in nu:
+                self._live += 1
+            nu[v] = e
+        nv = adj.get(v)
+        if nv is None:
+            adj[v] = {u: e}
+        else:
+            nv[u] = e
+        bucket = self._buckets.get(e)
+        if bucket is None:
+            self._buckets[e] = [(u, v)]
+            heapq.heappush(self._ends, e)
+        else:
+            bucket.append((u, v))
 
     def expire(self, b: Time) -> None:
         """Drop every edge ending strictly before b; an edge ending at b survives."""
-        q = self._expiry
-        end_time = self.end_time
+        ends = self._ends
+        if not ends or ends[0] >= b:
+            return
+        buckets = self._buckets
         adj = self.adj
-        while q and q[0][0] < b:
-            e, u, v = heapq.heappop(q)
-            if end_time.get((u, v)) != e:
-                continue  # superseded by a later link on the same pair
-            del end_time[u, v]
-            nu = adj[u]
-            nu.discard(v)
-            if not nu:
-                del adj[u]
-            nv = adj[v]
-            nv.discard(u)
-            if not nv:
-                del adj[v]
+        while ends and ends[0] < b:
+            e = heapq.heappop(ends)
+            for u, v in buckets.pop(e):
+                nu = adj.get(u)
+                if nu is None or nu.get(v) != e:
+                    continue  # dropped already, or superseded by a later link on the pair
+                if len(nu) == 1:
+                    del adj[u]
+                else:
+                    del nu[v]
+                nv = adj[v]
+                if len(nv) == 1:
+                    del adj[v]
+                else:
+                    del nv[u]
+                self._live -= 1
 
 
 def cliques_containing_edge(g: WindowGraph, u: int, v: int, k: int) -> list[tuple[int, ...]]:
@@ -107,38 +136,40 @@ def _search(g: WindowGraph, u: int, v: int, k: int, e: Time,
     """(clique, end, b) for each k-clique of g on the pair u < v whose end is > b.
 
     A clique's end is the earliest end time over its edges, with e standing in
-    for the edge (u, v). The common neighbors of u and v whose triangle ends
-    after b seed _grow, which extends the clique for every k. Each vertex
+    for the edge (u, v). The common neighbors of u and v, found by walking the
+    smaller neighbor map and probing the larger, whose triangle ends after b
+    seed _grow, which extends the clique for every k. Each vertex
     added to a partial clique lowers the end by its edges to the vertices
     already in it, and a branch is dropped as soon as its end is <= b.
     """
     adj = g.adj
-    nu = adj.get(u)
-    nv = adj.get(v)
-    if not nu or not nv:
+    small = adj.get(u)
+    large = adj.get(v)
+    if not small or not large:
         return []
-    common = nu & nv
-    if not common:
-        return []
-    end_time = g.end_time
-    live: dict[int, Time] = {}  # common neighbor -> end of the triangle it closes
-    for w in common:
-        ew = end_time[(u, w) if u < w else (w, u)]
-        if ew > e:
-            ew = e
-        ev = end_time[(v, w) if v < w else (w, v)]
+    if len(small) > len(large):
+        small, large = large, small
+    live: list[tuple[int, Time]] = []  # common neighbor, end of the triangle it closes
+    for w, ew in small.items():
+        ev = large.get(w)
+        if ev is None:
+            continue
         if ev < ew:
             ew = ev
+        if ew > e:
+            ew = e
         if ew > b:
-            live[w] = ew
+            live.append((w, ew))
+    if not live:
+        return []
+    live.sort()
     found: list[tuple[tuple[int, ...], Time, Time]] = []
-    _grow(adj, end_time, (u, v), sorted(live.items()), k - 2, e, b, found)
+    _grow(adj, (u, v), live, k - 2, e, b, found)
     return found
 
 
-def _grow(adj: dict[int, set[int]], end_time: dict[tuple[int, int], Time],
-          group: tuple[int, ...], cand: list[tuple[int, Time]], need: int, end: Time, b: Time,
-          found: list[tuple[tuple[int, ...], Time, Time]]) -> None:
+def _grow(adj: dict[int, dict[int, Time]], group: tuple[int, ...], cand: list[tuple[int, Time]],
+          need: int, end: Time, b: Time, found: list[tuple[tuple[int, ...], Time, Time]]) -> None:
     """Append every clique of group plus `need` vertices of the id-sorted `cand`.
 
     `end` is the end of group and each candidate carries the end of its edges
@@ -157,14 +188,15 @@ def _grow(adj: dict[int, set[int]], end_time: dict[tuple[int, int], Time],
         nx = adj[x]
         nxt = []
         for y, ey in cand[i + 1:]:
-            if y in nx:
-                exy = end_time[x, y]
-                if exy < ey:
-                    if exy <= b:
-                        continue
-                    ey = exy
-                nxt.append((y, ey))
-        _grow(adj, end_time, group + (x,), nxt, need - 1, ex, b, found)
+            exy = nx.get(y)
+            if exy is None:
+                continue
+            if exy < ey:
+                if exy <= b:
+                    continue
+                ey = exy
+            nxt.append((y, ey))
+        _grow(adj, group + (x,), nxt, need - 1, ex, b, found)
 
 
 def enumerate_k_cliques(stream: LinkStream, k: int) -> Iterator[TemporalKClique]:
@@ -194,7 +226,7 @@ def _clique_keys(stream: LinkStream, k: int) -> Iterator[tuple[tuple[int, ...], 
     if k < 3:
         raise ValueError(f"k must be at least 3, got {k}")
     g = WindowGraph()
-    end_time = g.end_time
+    adj = g.adj
     pending: list[tuple[tuple[int, ...], Time, Time]] = []
     current_b: Time | None = None
     exact = False  # a non-integer end time has been seen
@@ -205,22 +237,27 @@ def _clique_keys(stream: LinkStream, k: int) -> Iterator[tuple[tuple[int, ...], 
                 yield from sorted(pending)
                 pending.clear()
             current_b = b
+            # a link never ends before it begins, so none of time b's links expire at b
+            g.expire(b)
+        # an endpoint with no other live neighbor closes no clique
+        linked = u in adj and v in adj
         g.add(link)
-        g.expire(b)
         if e <= b:
             # a zero-duration link cannot support a positive-length clique
             continue
         if type(e) is not int:
-            exact = True
+            exact = True  # before the skip: this end may become a later clique's end
+        if not linked:
+            continue
         # a clique whose end is <= b dies the moment this link begins
         found = _search(g, u, v, k, e, b)
         if found:
             if exact:
-                found = [(c, _first_end(end_time, c, end), b) for c, end, _ in found]
+                found = [(c, _first_end(adj, c, end), b) for c, end, _ in found]
             pending += found
     yield from sorted(pending)
 
 
-def _first_end(end_time: dict[tuple[int, int], Time], c: tuple[int, ...], end: Time) -> Time:
+def _first_end(adj: dict[int, dict[int, Time]], c: tuple[int, ...], end: Time) -> Time:
     """end as written on the first edge of c, in vertex-id order, that ends then."""
-    return next(end_time[p] for p in combinations(c, 2) if end_time[p] == end)
+    return next(adj[x][y] for x, y in combinations(c, 2) if adj[x][y] == end)

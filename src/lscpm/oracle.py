@@ -316,6 +316,30 @@ def containing_communities(
     return [i for i, outer in enumerate(outers) if community_contains(outer, inner)]
 
 
+def _all_contained(
+    inners: Sequence[TemporalCommunity], outers: Sequence[TemporalCommunity]
+) -> bool:
+    """Whether each inner community lies in some outer one (community_contains).
+
+    Only the outer communities holding an inner community's first member can
+    contain it, so an index from vertex to those communities replaces the scan
+    of the whole outer list. An empty inner community lies in any outer one.
+    """
+    holding: dict[int, list[TemporalCommunity]] = {}
+    for o in outers:
+        for v in o.members:
+            holding.setdefault(v, []).append(o)
+    for x in inners:
+        if not x.members:
+            if not outers:
+                return False
+            continue
+        first = next(iter(x.members))
+        if not any(community_contains(o, x) for o in holding.get(first, ())):
+            return False
+    return True
+
+
 def compare_communities(
     a: Sequence[TemporalCommunity], b: Sequence[TemporalCommunity]
 ) -> ComparisonReport:
@@ -323,8 +347,8 @@ def compare_communities(
     canon_a = Counter(c.canonical() for c in a)
     canon_b = Counter(c.canonical() for c in b)
     equal = canon_a == canon_b
-    a_in_b = all(any(community_contains(o, x) for o in b) for x in a)
-    b_in_a = all(any(community_contains(o, x) for o in a) for x in b)
+    a_in_b = _all_contained(a, b)
+    b_in_a = _all_contained(b, a)
     diffs: list[str] = []
     if not equal:
         only_a = sum(n for c, n in canon_a.items() if c not in canon_b)

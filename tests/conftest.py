@@ -40,6 +40,16 @@ KNOWN_COMMUNITY = {
     "g": ((3, 5), (8, 12)),
 }
 
+# A float-ended link (a-c) whose endpoint c is new: it closes no clique when it
+# arrives, but its end 15.0 ties the other ends of the clique a-b-c found at 5,
+# which must still read 15, as on a-b, its first edge in vertex-id order.
+MIXED_END_TEXT = """\
+0 3 a b
+4 15.0 a c
+4 15 b c
+5 15 a b
+"""
+
 
 @pytest.fixture
 def known_text() -> str:

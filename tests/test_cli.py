@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import KNOWN_STREAM_TEXT, SRC
+from conftest import KNOWN_STREAM_TEXT, MIXED_END_TEXT, SRC
 
 from lscpm.cli import main
 from lscpm.oracle import MAX_ORACLE_VERTICES, MAX_SNAPSHOT_CLIQUES
@@ -77,12 +77,28 @@ class TestEnumerate:
         assert code == 0
         assert out == "0 5 a b c\n"
 
+    def test_end_of_link_with_new_endpoint_keeps_its_form(self, capsys, tmp_path):
+        # the clique's end reads as on a-b, its first edge in vertex-id order
+        # that ends then, although the search may carry 15.0 from a-c
+        path = tmp_path / "mixed.txt"
+        path.write_text(MIXED_END_TEXT)
+        code, out, _ = run_cli(capsys, "enumerate", "--k", "3", str(path))
+        assert code == 0
+        assert out == "5 15 a b c\n"
+
 
 class TestCommunities:
     def test_known_stream(self, capsys, known_file):
         code, out, _ = run_cli(capsys, "communities", "--k", "3", known_file)
         assert code == 0
         assert out == KNOWN_COMMUNITY_OUTPUT
+
+    def test_end_of_link_with_new_endpoint_keeps_its_form(self, capsys, tmp_path):
+        path = tmp_path / "mixed.txt"
+        path.write_text(MIXED_END_TEXT)
+        code, out, _ = run_cli(capsys, "communities", "--k", "3", str(path))
+        assert code == 0
+        assert out == "0 a 5 15\n0 b 5 15\n0 c 5 15\n"
 
 
 class TestCsvQuoting:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import KNOWN_CLIQUES, dense_streams, streams
+from conftest import KNOWN_CLIQUES, MIXED_END_TEXT, dense_streams, streams
 
 from lscpm import (
     Interval,
@@ -27,30 +27,34 @@ def window_with(*links):
     return g
 
 
+def linked(g, u, v):
+    return v in g.adj.get(u, {})
+
+
 class TestWindowGraph:
     def test_add_records_end_time(self):
         g = window_with(Link(1, 13, 0, 1))
-        assert (0, 1) in g.end_time
-        assert g.end_time[0, 1] == 13
+        assert linked(g, 0, 1)
+        assert g.adj[0][1] == 13
 
     def test_two_disjoint_pairs_coexist(self):
         g = window_with(Link(0, 5, 0, 1), Link(1, 6, 2, 3))
-        assert (0, 1) in g.end_time and (2, 3) in g.end_time
+        assert linked(g, 0, 1) and linked(g, 2, 3)
         assert len(g) == 2
 
     def test_re_add_after_expiry_overwrites(self):
         g = window_with(Link(0, 5, 0, 1))
         g.expire(6)
-        assert (0, 1) not in g.end_time
+        assert not linked(g, 0, 1)
         g.add(Link(6, 9, 0, 1))
-        assert g.end_time[0, 1] == 9
+        assert g.adj[0][1] == 9
 
     def test_expire_is_strict_at_boundary(self):
         g = window_with(Link(0, 5, 0, 1))
         g.expire(5)
-        assert (0, 1) in g.end_time  # an edge ending exactly at b survives
+        assert linked(g, 0, 1)  # an edge ending exactly at b survives
         g.expire(6)
-        assert (0, 1) not in g.end_time
+        assert not linked(g, 0, 1)
         assert 0 not in g.adj
 
     def test_expire_empty_is_noop(self):
@@ -60,9 +64,54 @@ class TestWindowGraph:
 
     def test_stale_expiry_entry_skipped(self):
         g = window_with(Link(0, 5, 0, 1), Link(6, 8, 0, 1))
-        g.expire(7)  # pops the (5, 0, 1) entry, which is superseded
-        assert (0, 1) in g.end_time
-        assert g.end_time[0, 1] == 8
+        g.expire(7)  # pops the bucket of end 5, whose (0, 1) entry is superseded
+        assert linked(g, 0, 1)
+        assert g.adj[0][1] == 8
+
+    def test_overlapping_links_sharing_an_end_expire_once(self):
+        # two entries for (0, 1) in the bucket of end 5: the second finds 0 gone
+        g = window_with(Link(0, 5, 0, 1), Link(3, 5, 0, 1))
+        assert len(g) == 1
+        g.expire(6)
+        assert g.adj == {}
+        assert len(g) == 0
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_live_pair_model(self, data):
+        # ends are ints or the same value written as a float (5 and 5.0)
+        g = WindowGraph()
+        model: dict[tuple[int, int], object] = {}
+        now = 0
+        last_end = 0
+        for _ in range(data.draw(st.integers(0, 30))):
+            if data.draw(st.booleans()):
+                now += data.draw(st.integers(0, 3))
+                u, v = sorted(data.draw(st.lists(st.integers(0, 6), min_size=2, max_size=2,
+                                                 unique=True)))
+                e = now + data.draw(st.integers(0, 6))
+                if data.draw(st.booleans()):
+                    e = float(e)
+                g.add(Link(now, e, u, v))
+                model[u, v] = e
+                last_end = max(last_end, e)
+            else:
+                t = now + data.draw(st.integers(0, 2))
+                g.expire(t)
+                model = {p: e for p, e in model.items() if e >= t}
+                now = t
+            # each live pair holds the end of its last link, in the form it was written
+            window = {(u, v): repr(e) for u, nu in g.adj.items() for v, e in nu.items() if u < v}
+            assert window == {p: repr(e) for p, e in model.items()}
+            for u, nu in g.adj.items():
+                assert nu, u  # no vertex maps to an empty dict
+                for v, e in nu.items():
+                    assert repr(g.adj[v][u]) == repr(e)  # symmetric
+            assert len(g) == len(model)
+        g.expire(last_end + 1)
+        assert g.adj == {}
+        assert g._buckets == {} and g._ends == []
+        assert len(g) == 0
 
 
 def complete_window(n, end=100):
@@ -78,7 +127,7 @@ class TestCliquesContainingEdge:
         g = complete_window(4)
         got = sorted(cliques_containing_edge(g, 0, 1, 3))
         # brute force over 1-subsets of the common neighborhood
-        common = g.adj[0] & g.adj[1]
+        common = g.adj[0].keys() & g.adj[1].keys()
         want = sorted(tuple(sorted((0, 1, w))) for w in common)
         assert got == want == [(0, 1, 2), (0, 1, 3)]
 
@@ -97,11 +146,11 @@ class TestCliquesContainingEdge:
         g.add(Link(0, 100, 0, 7))  # pendant edge off the clique
         g.add(Link(0, 100, 7, 8))
         got = sorted(cliques_containing_edge(g, 0, 1, k))
-        common = g.adj[0] & g.adj[1]
+        common = g.adj[0].keys() & g.adj[1].keys()
         want = sorted(
             tuple(sorted((0, 1) + rest))
             for rest in combinations(sorted(common), k - 2)
-            if all((x, y) in g.end_time for x, y in combinations(rest, 2))
+            if all(y in g.adj[x] for x, y in combinations(rest, 2))
         )
         assert got == want
 
@@ -116,11 +165,11 @@ class TestCliquesContainingEdge:
         u, v = rng.choice(pairs)
         got = cliques_containing_edge(g, u, v, k)
         assert len(got) == len(set(got))
-        common = g.adj[u] & g.adj[v]
+        common = g.adj[u].keys() & g.adj[v].keys()
         want = sorted(
             tuple(sorted((u, v) + rest))
             for rest in combinations(sorted(common), k - 2)
-            if all((x, y) in g.end_time for x, y in combinations(rest, 2))
+            if all(y in g.adj[x] for x, y in combinations(rest, 2))
         )
         assert sorted(got) == want
 
@@ -163,6 +212,28 @@ class TestEnumerate:
         )
         got = list(enumerate_k_cliques(stream, 3))
         assert got == [TemporalKClique((0, 1, 2), Interval(0, 7))]
+
+    def test_overlapping_links_sharing_an_end(self):
+        # from_links keeps both links on (0, 1); both end at 5, so expiry
+        # meets the pair twice in one bucket
+        stream = LinkStream.from_links([Link(0, 5, 0, 1), Link(3, 5, 0, 1), Link(7, 9, 2, 3)])
+        assert list(enumerate_k_cliques(stream, 3)) == []
+
+    def test_overlapping_links_yield_a_clique_each(self):
+        stream = LinkStream.from_links([Link(0, 5, 0, 1), Link(3, 5, 0, 1), Link(0, 9, 0, 2),
+                                        Link(0, 9, 1, 2), Link(7, 9, 0, 1)])
+        got = list(enumerate_k_cliques(stream, 3))
+        assert got == [TemporalKClique((0, 1, 2), Interval(0, 5)),
+                       TemporalKClique((0, 1, 2), Interval(3, 5)),
+                       TemporalKClique((0, 1, 2), Interval(7, 9))]
+
+    def test_float_end_of_link_with_new_endpoint_keeps_its_form(self):
+        # a-c arrives when c has no other neighbor and closes nothing, but its
+        # end 15.0 ties the clique found at 5, whose end reads as on a-b
+        stream = parse_links(MIXED_END_TEXT)
+        got = [(c.vertices, repr(c.interval.t0), repr(c.interval.t1))
+               for c in enumerate_k_cliques(stream, 3)]
+        assert got == [((0, 1, 2), "5", "15")]
 
     @pytest.mark.parametrize("k", [3, 4, 5])
     def test_time_written_two_ways_keeps_its_form(self, k):

@@ -140,6 +140,13 @@ communities = st.lists(
     max_size=5,
 )
 
+# as communities, but a list may hold a community with no members
+communities_or_empty = st.lists(
+    st.dictionaries(st.integers(0, 3), st.sampled_from(SPAN_SETS), max_size=3)
+    .map(lambda members: community(0, members)),
+    max_size=5,
+)
+
 
 def reference_report(a, b):
     """compare_communities written out by its definition: sorted canonical
@@ -169,6 +176,22 @@ class TestCompare:
             a += [a[i % len(a)] for i in repeats]  # the lists are multisets
         for x, y in ((a, b), (b, a), (a, a)):
             assert compare_communities(x, y) == reference_report(x, y)
+
+    @given(communities_or_empty, communities_or_empty)
+    @settings(max_examples=200, deadline=None)
+    def test_containment_matches_the_full_scan(self, a, b):
+        # containment by its definition: scan every community of the other side
+        for x, y in ((a, b), (b, a)):
+            report = compare_communities(x, y)
+            assert report.a_in_b == all(any(community_contains(o, c) for o in y) for c in x)
+            assert report.b_in_a == all(any(community_contains(o, c) for o in x) for c in y)
+
+    def test_empty_community_lies_in_any_community(self):
+        empty = community(0, {})
+        other = community(0, {0: [(0, 5)]})
+        assert compare_communities([empty], [other]).a_in_b
+        assert not compare_communities([empty], []).a_in_b
+        assert compare_communities([], []).a_in_b
 
     def test_permuted_labels_are_equal(self):
         a = [community(0, {0: [(0, 5)], 1: [(0, 5)]}), community(1, {2: [(3, 9)]})]

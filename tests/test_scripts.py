@@ -4,7 +4,7 @@ import re
 import subprocess
 import sys
 
-from conftest import SRC
+from conftest import MIXED_END_TEXT, SRC
 
 SCRIPTS = SRC.parent / "scripts"
 
@@ -27,17 +27,22 @@ def test_k_sweep_defaults():
 def test_cli_digest_lists_one_digest_per_run(tmp_path, known_text):
     path = tmp_path / "known.txt"
     path.write_text(known_text)
-    proc = run_script("cli_digest.py", str(path))
+    # ends written both as 15 and 15.0 on one clique
+    mixed = tmp_path / "mixed.txt"
+    mixed.write_text(MIXED_END_TEXT)
+    proc = run_script("cli_digest.py", str(path), str(mixed))
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert lines
     for line in lines:
         assert re.match(r"^[0-9a-f]{64}  \S", line), line
-    # compare against k + 1 and at snapshot times is listed for every k
-    for k in (3, 4, 5):
-        assert any(f"  compare --k1 {k} --k2 {k + 1} {path}" in line for line in lines), k
-        assert any(f"  compare --k1 {k} --snapshot-times 0,4.5,9 {path}" in line
-                   for line in lines), k
+    # compare against k + 1 and at snapshot times is listed for every k, on every file
+    for p in (path, mixed):
+        for k in (3, 4, 5):
+            assert any(f"  compare --k1 {k} --k2 {k + 1} {p}" in line for line in lines), k
+            assert any(f"  compare --k1 {k} --snapshot-times 0,4.5,9 {p}" in line
+                       for line in lines), k
+        assert any(line.endswith(f"  enumerate --k 3 {p}") for line in lines), p
 
 
 def test_scaling_experiment_small_sizes():
