@@ -2,10 +2,12 @@
 """Print one sha256 per CLI run, to check that two checkouts give the same bytes.
 
 Runs the ``lscpm`` CLI of the checkout this script sits in on each input file:
-enumerate, communities and stats with space, csv and tsv output, compare
-(alone, against k + 1 and at snapshot times 0, 4.5 and 9) and oracle, for
-k = 3, 4 and 5, plus two fixed generate runs. Each line reads
-``<sha256>  <arguments>``; the digest covers stdout, stderr and the exit code.
+enumerate, communities and stats with space, csv and tsv output, communities
+once more with the file's bytes fed on standard input (listed as
+``- < path``), compare (alone, against k + 1 and at snapshot times 0, 4.5 and
+9) and oracle, for k = 3, 4 and 5, plus two fixed generate runs. Each line
+reads ``<sha256>  <arguments>``; the digest covers stdout, stderr and the
+exit code.
 To compare a change with its parent, run the script of each checkout on the
 same paths and diff the two listings:
 
@@ -35,28 +37,35 @@ GENERATE = (
 )
 
 
-def digest(args: list[str]) -> str:
+Run = tuple[list[str], str | None]  # CLI arguments, and a file whose bytes go to stdin
+
+
+def digest(args: list[str], stdin: str | None = None) -> str:
     """sha256 over the stdout, stderr and exit code of one CLI run."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    run = subprocess.run([sys.executable, "-m", "lscpm", *args], capture_output=True, env=env)
+    data = None if stdin is None else Path(stdin).read_bytes()
+    run = subprocess.run([sys.executable, "-m", "lscpm", *args], input=data,
+                         capture_output=True, env=env)
     h = hashlib.sha256()
     for part in (run.stdout, b"\0stderr\0", run.stderr, b"\0exit\0", str(run.returncode).encode()):
         h.update(part)
     return h.hexdigest()
 
 
-def runs(path: str, delta: str | None) -> list[list[str]]:
-    """The argument lists run on one input file."""
+def runs(path: str, delta: str | None) -> list[Run]:
+    """The runs made on one input file."""
     extra = [] if delta is None else ["--delta", delta]
-    out = []
+    out: list[Run] = []
     for k in KS:
         for command in ("enumerate", "communities", "stats"):
             for output in ([], ["--output", "csv"], ["--output", "tsv"]):
-                out.append([command, "--k", str(k), *output, *extra, path])
-        out.append(["compare", "--k1", str(k), *extra, path])
-        out.append(["compare", "--k1", str(k), "--k2", str(k + 1), *extra, path])
-        out.append(["compare", "--k1", str(k), "--snapshot-times", SNAPSHOT_TIMES, *extra, path])
-        out.append(["oracle", "--k", str(k), *extra, path])
+                out.append(([command, "--k", str(k), *output, *extra, path], None))
+        out.append((["communities", "--k", str(k), *extra, "-"], path))
+        out.append((["compare", "--k1", str(k), *extra, path], None))
+        out.append((["compare", "--k1", str(k), "--k2", str(k + 1), *extra, path], None))
+        out.append((["compare", "--k1", str(k), "--snapshot-times", SNAPSHOT_TIMES, *extra, path],
+                    None))
+        out.append((["oracle", "--k", str(k), *extra, path], None))
     return out
 
 
@@ -67,11 +76,12 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--delta", default=None,
                     help="pass --delta to every run, for instantaneous input files")
     args = ap.parse_args(argv)
-    todo = list(GENERATE)
+    todo: list[Run] = [(cmd, None) for cmd in GENERATE]
     for path in args.inputs:
         todo += runs(path, args.delta)
-    for cmd in todo:
-        print(f"{digest(cmd)}  {' '.join(cmd)}", flush=True)
+    for cmd, stdin in todo:
+        shown = " ".join(cmd) if stdin is None else f"{' '.join(cmd)} < {stdin}"
+        print(f"{digest(cmd, stdin)}  {shown}", flush=True)
     return 0
 
 

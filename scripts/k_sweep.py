@@ -13,36 +13,27 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from lscpm import (  # noqa: E402
-    enumerate_k_cliques,
-    materialize,
-    parse_links,
-    run_lscpm,
-    synthetic_stream,
-)
-from lscpm.cli import delta_arg  # noqa: E402
+from lscpm import enumerate_k_cliques, materialize, run_lscpm, synthetic_stream  # noqa: E402
+from lscpm.cli import delta_arg, k_arg, read_stream  # noqa: E402
 from lscpm.oracle import containing_communities  # noqa: E402
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("input", nargs="?", default=None, help="durational input file")
+    ap.add_argument("input", nargs="?", default=None,
+                    help="input file, or - for standard input (durational unless --delta)")
     ap.add_argument("--delta", type=delta_arg, default=None,
                     help="treat the input as instantaneous records with this duration")
-    ap.add_argument("--kmin", type=int, default=3)
-    ap.add_argument("--kmax", type=int, default=6)
+    ap.add_argument("--kmin", type=k_arg, default=3)
+    ap.add_argument("--kmax", type=k_arg, default=6)
     ap.add_argument("--seed", type=int, default=11)
     args = ap.parse_args()
-    if args.kmin < 3:
-        ap.error(f"--kmin must be at least 3, got {args.kmin}")
 
     if args.input is None:
         stream = synthetic_stream(n_vertices=60, n_instants=4000, span=400,
                                   delta=25, seed=args.seed, block=6)
     else:
-        text = Path(args.input).read_text(encoding="utf-8")
-        fmt = "instantaneous" if args.delta is not None else "durational"
-        stream = parse_links(text, format=fmt, delta=args.delta)
+        stream = read_stream(args.input, args.delta)
     print(f"# {len(stream.links)} links, {stream.n_vertices} vertices")
     print("k,cliques,communities,seconds")
     previous = None

@@ -8,6 +8,10 @@ Subcommands:
   generate     synthetic stream generation
   oracle       brute-force reference output, for debugging small inputs
 
+Input is UTF-8 text, a file or standard input (``-``) read the same way. Lines
+are durational ``b e u v``, or instantaneous ``t u v`` when ``--delta`` gives
+each instant its duration.
+
 Exit codes: 0 ok, 1 data error (unreadable or invalid input), 2 usage error.
 Output is deterministic: identical input and flags give identical bytes.
 """
@@ -52,6 +56,17 @@ def delta_arg(token: str) -> Time:
     return delta
 
 
+def k_arg(token: str) -> int:
+    """argparse type for k: an integer of at least 3."""
+    try:
+        k = int(token)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {token!r}") from None
+    if k < 3:
+        raise argparse.ArgumentTypeError(f"k must be at least 3, got {k}")
+    return k
+
+
 def _times_arg(text: str) -> list[Time]:
     return [_time_arg(token.strip()) for token in text.split(",")]
 
@@ -59,9 +74,8 @@ def _times_arg(text: str) -> list[Time]:
 def _add_input_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("input", help="input file, or - for standard input")
     sub.add_argument("--delta", type=delta_arg, default=None,
-                     help="duration added to instantaneous records (implies instantaneous format)")
-    sub.add_argument("--format", choices=["durational", "instantaneous"], default=None,
-                     help="input line format (default: durational, or instantaneous when --delta is set)")
+                     help="read instantaneous 't u v' lines, each lasting this long"
+                          " (default: durational 'b e u v' lines)")
 
 
 def _add_output_option(sub: argparse.ArgumentParser) -> None:
@@ -75,26 +89,26 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("enumerate", help="list maximal k-cliques in emission order")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=k_arg, required=True)
     _add_input_options(p)
     _add_output_option(p)
     p.set_defaults(func=cmd_enumerate, parser=p)
 
     p = sub.add_parser("communities", help="detect temporal communities")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=k_arg, required=True)
     _add_input_options(p)
     _add_output_option(p)
     p.set_defaults(func=cmd_communities, parser=p)
 
     p = sub.add_parser("stats", help="community statistics as CSV")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=k_arg, required=True)
     _add_input_options(p)
     _add_output_option(p)
     p.set_defaults(func=cmd_stats, parser=p)
 
     p = sub.add_parser("compare", help="compare community structure across k values")
-    p.add_argument("--k1", type=int, required=True)
-    p.add_argument("--k2", type=int, default=None)
+    p.add_argument("--k1", type=k_arg, required=True)
+    p.add_argument("--k2", type=k_arg, default=None)
     p.add_argument("--snapshot-times", type=_times_arg, default=None,
                    help="comma-separated times; checks snapshot communities against k1 output")
     _add_input_options(p)
@@ -112,33 +126,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_generate, parser=p)
 
     p = sub.add_parser("oracle", help="brute-force reference output (small inputs only)")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=k_arg, required=True)
     _add_input_options(p)
     p.set_defaults(func=cmd_oracle, parser=p)
 
     return parser
 
 
-def _check_k(parser: argparse.ArgumentParser, *ks: int | None) -> None:
-    for k in ks:
-        if k is not None and k < 3:
-            parser.error(f"k must be at least 3, got {k}")
-
-
-def _read_stream(args: argparse.Namespace) -> LinkStream:
-    fmt = args.format
-    if fmt is None:
-        fmt = "instantaneous" if args.delta is not None else "durational"
-    if fmt == "durational" and args.delta is not None:
-        raise UsageError("--delta applies to instantaneous input only")
-    if fmt == "instantaneous" and args.delta is None:
-        raise UsageError("instantaneous input requires --delta")
-    if args.input == "-":
-        text = sys.stdin.read()
+def read_stream(path: str, delta: Time | None) -> LinkStream:
+    """Parse a file, or standard input for ``-``; a delta means instantaneous lines."""
+    if path == "-":
+        data = sys.stdin.buffer.read()
     else:
-        with open(args.input, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    return parse_links(text, format=fmt, delta=args.delta)
+        with open(path, "rb") as handle:
+            data = handle.read()
+    text = data.decode("utf-8")
+    del data  # the bytes need not outlive the parse
+    fmt = "durational" if delta is None else "instantaneous"
+    return parse_links(text, format=fmt, delta=delta)
 
 
 def _sep(args: argparse.Namespace, default: str = " ") -> str:
@@ -173,7 +178,7 @@ def _write_cliques(stream: LinkStream, cliques: Iterable[TemporalKClique],
 
 
 def cmd_enumerate(args: argparse.Namespace, out: TextIO) -> int:
-    stream = _read_stream(args)
+    stream = read_stream(args.input, args.delta)
     _write_cliques(stream, enumerate_k_cliques(stream, args.k), _row_writer(out, _sep(args)))
     return 0
 
@@ -192,14 +197,14 @@ def _write_communities(stream: LinkStream, communities: list[TemporalCommunity],
 
 
 def cmd_communities(args: argparse.Namespace, out: TextIO) -> int:
-    stream = _read_stream(args)
+    stream = read_stream(args.input, args.delta)
     communities = compute_communities(stream, args.k)
     _write_communities(stream, communities, _row_writer(out, _sep(args)))
     return 0
 
 
 def cmd_stats(args: argparse.Namespace, out: TextIO) -> int:
-    stream = _read_stream(args)
+    stream = read_stream(args.input, args.delta)
     communities = compute_communities(stream, args.k)
     write = _row_writer(out, _sep(args, default=","))
     counts = {v: 0 for v in stream.labels}
@@ -215,7 +220,7 @@ def cmd_stats(args: argparse.Namespace, out: TextIO) -> int:
 
 
 def cmd_compare(args: argparse.Namespace, out: TextIO) -> int:
-    stream = _read_stream(args)
+    stream = read_stream(args.input, args.delta)
     base = compute_communities(stream, args.k1)
     if args.k2 is not None:
         other = compute_communities(stream, args.k2)
@@ -255,7 +260,7 @@ def cmd_generate(args: argparse.Namespace, out: TextIO) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace, out: TextIO) -> int:
-    stream = _read_stream(args)
+    stream = read_stream(args.input, args.delta)
     cliques = sorted(oracle_enumerate(stream, args.k),
                      key=lambda c: (c.interval.t0, c.vertices, c.interval.t1))
     out.write("# cliques\n")
@@ -269,9 +274,6 @@ def cmd_oracle(args: argparse.Namespace, out: TextIO) -> int:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    # usage errors name the subcommand's own options
-    _check_k(args.parser, getattr(args, "k", None), getattr(args, "k1", None),
-             getattr(args, "k2", None))
     try:
         return args.func(args, sys.stdout)
     except UsageError as exc:

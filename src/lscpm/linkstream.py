@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import groupby
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 Time = int | float
 
@@ -132,15 +132,12 @@ class LinkStream:
     def n_vertices(self) -> int:
         return len(self.labels)
 
-    def labeled_links(self) -> list[tuple[Time, Time, str, str]]:
-        """Links as (b, e, label, label) tuples, the label pair sorted."""
-        out = []
-        for ln in self.links:
-            a, b = self.labels[ln.u], self.labels[ln.v]
-            if b < a:
-                a, b = b, a
-            out.append((ln.b, ln.e, a, b))
-        return out
+    def labeled_links(self) -> Iterator[tuple[Time, Time, str, str]]:
+        """Links as (b, e, label, label) tuples, the label pair sorted, one at a time."""
+        labels = self.labels
+        for b, e, u, v in self.links:
+            x, y = labels[u], labels[v]
+            yield (b, e, x, y) if x <= y else (b, e, y, x)
 
 
 @dataclass(frozen=True)
@@ -220,18 +217,21 @@ def _iter_lines(source) -> Iterable[str]:
 def parse_links(source, format: str = "durational", delta: Time | None = None) -> LinkStream:
     """Parse text into a validated LinkStream.
 
-    Durational lines are ``b e u v``; instantaneous lines are ``t u v`` and
-    require ``delta``, the uniform duration given to each instant (handled by
-    :func:`apply_delta`). One line loop reads both: fields split at
-    whitespace, blank and ``#`` comment lines are skipped, and external labels
-    map to dense vertex ids in order of first appearance. Raises ParseError
-    with the offending line number on malformed input or a broken invariant,
-    such as an instant whose end t + delta overflows; a missing delta is
-    reported after every line is read.
+    Durational lines are ``b e u v`` and take no ``delta``; instantaneous
+    lines are ``t u v`` and require ``delta``, the uniform duration given to
+    each instant (handled by :func:`apply_delta`). One line loop reads both:
+    fields split at whitespace, blank and ``#`` comment lines are skipped, and
+    external labels map to dense vertex ids in order of first appearance.
+    Raises ValueError up front for an unknown format or a delta given with
+    durational input. Raises ParseError with the offending line number on
+    malformed input or a broken invariant, such as an instant whose end
+    t + delta overflows; a missing delta is reported after every line is read.
     """
     if format not in ("durational", "instantaneous"):
         raise ValueError(f"unknown format {format!r}")
     instant = format == "instantaneous"
+    if delta is not None and not instant:
+        raise ValueError(f"durational input takes no delta, got {delta!r}")
     width, shape = (3, "'t u v'") if instant else (4, "'b e u v'")
     bounded = instant and delta is not None and 0 < delta < math.inf
     ids: dict[str, int] = {}
@@ -350,12 +350,7 @@ def serialize(stream: LinkStream) -> str:
     Each line carries its label pair in sorted order, so the emitted content
     does not depend on the internal id assignment.
     """
-    lines = []
-    for ln in stream.links:
-        a, b = stream.labels[ln.u], stream.labels[ln.v]
-        if b < a:
-            a, b = b, a
-        lines.append(f"{_fmt_time(ln.b)} {_fmt_time(ln.e)} {a} {b}")
+    lines = [f"{_fmt_time(b)} {_fmt_time(e)} {x} {y}" for b, e, x, y in stream.labeled_links()]
     return "\n".join(lines) + ("\n" if lines else "")
 
 

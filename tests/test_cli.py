@@ -308,7 +308,7 @@ class TestErrors:
 
     @pytest.mark.parametrize("argv", [
         ["generate", "--vertices", "10", "--links", "30", "--span", "-1"],
-        ["enumerate", "--k", "3", "--delta", "3", "--format", "durational", "IN"],
+        ["compare", "--k1", "3", "--k2", "2", "IN"],
         ["communities", "--k", "2", "IN"],
     ])
     def test_usage_error_prints_subcommand_usage(self, capsys, known_file, argv):
@@ -329,33 +329,67 @@ class TestErrors:
             main(["enumerate", "--k", "2", known_file])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv, message", [
+        (["enumerate", "--k", "2", "IN"], "argument --k: k must be at least 3, got 2"),
+        (["stats", "--k", "-1", "IN"], "argument --k: k must be at least 3, got -1"),
+        (["oracle", "--k", "x", "IN"], "argument --k: invalid int value: 'x'"),
+        (["compare", "--k1", "2", "IN"], "argument --k1: k must be at least 3, got 2"),
+        (["compare", "--k1", "3", "--k2", "2", "IN"], "argument --k2: k must be at least 3, got 2"),
+        (["compare", "--k1", "3", "--k2", "4.0", "IN"], "argument --k2: invalid int value: '4.0'"),
+    ])
+    def test_bad_k_is_refused_by_its_option(self, capsys, known_file, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main([known_file if arg == "IN" else arg for arg in argv])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"usage: lscpm {argv[0]} ")
+        assert captured.err.endswith(f"error: {message}\n")
+
     def test_unknown_flag_is_usage_error(self, capsys, known_file):
         with pytest.raises(SystemExit) as exc:
             main(["enumerate", "--k", "3", "--bogus", known_file])
         assert exc.value.code == 2
 
-    def test_instantaneous_without_delta_is_usage_error(self, capsys, known_file):
+    @pytest.mark.parametrize("command", ["enumerate", "communities", "stats", "oracle"])
+    def test_format_option_is_gone(self, capsys, known_file, command):
+        # --delta alone selects instantaneous input
         with pytest.raises(SystemExit) as exc:
-            main(["enumerate", "--k", "3", "--format", "instantaneous", known_file])
+            main([command, "--k", "3", "--format", "durational", known_file])
         assert exc.value.code == 2
-
-    def test_delta_with_durational_is_usage_error(self, capsys, known_file):
-        with pytest.raises(SystemExit) as exc:
-            main(["enumerate", "--k", "3", "--format", "durational", "--delta", "2", known_file])
-        assert exc.value.code == 2
+        assert "unrecognized arguments: --format" in capsys.readouterr().err
 
 
 class TestEntryPoint:
-    def test_module_invocation_and_stdin(self, tmp_path):
+    @staticmethod
+    def run_module(tmp_path, *argv, stdin=b""):
         env = dict(os.environ)
         env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
-        proc = subprocess.run(
-            [sys.executable, "-m", "lscpm", "communities", "--k", "3", "-"],
-            input=KNOWN_STREAM_TEXT,
-            capture_output=True,
-            text=True,
-            env=env,
-            cwd=str(Path(tmp_path)),
-        )
+        return subprocess.run([sys.executable, "-m", "lscpm", *argv], input=stdin,
+                              capture_output=True, env=env, cwd=str(Path(tmp_path)))
+
+    def test_module_invocation_and_stdin(self, tmp_path):
+        proc = self.run_module(tmp_path, "communities", "--k", "3", "-",
+                               stdin=KNOWN_STREAM_TEXT.encode())
         assert proc.returncode == 0
-        assert proc.stdout == KNOWN_COMMUNITY_OUTPUT
+        assert proc.stdout.decode() == KNOWN_COMMUNITY_OUTPUT
+
+    def test_invalid_utf8_on_stdin_fails_as_in_a_file(self, tmp_path):
+        data = b"0 5 a b\n0 5 a\xff c\n0 5 b c\n"
+        path = tmp_path / "bad.txt"
+        path.write_bytes(data)
+        on_file = self.run_module(tmp_path, "communities", "--k", "3", str(path))
+        on_stdin = self.run_module(tmp_path, "communities", "--k", "3", "-", stdin=data)
+        assert on_file.returncode == on_stdin.returncode == 1
+        assert on_stdin.stdout == b""
+        assert on_stdin.stderr == on_file.stderr
+        assert b"can't decode byte 0xff in position 13" in on_stdin.stderr
+
+    def test_crlf_on_stdin_reads_as_in_a_file(self, tmp_path):
+        data = KNOWN_STREAM_TEXT.replace("\n", "\r\n").encode()
+        path = tmp_path / "known.txt"
+        path.write_bytes(data)
+        on_file = self.run_module(tmp_path, "communities", "--k", "3", str(path))
+        on_stdin = self.run_module(tmp_path, "communities", "--k", "3", "-", stdin=data)
+        assert on_file.returncode == on_stdin.returncode == 0
+        assert on_stdin.stdout.decode() == on_file.stdout.decode() == KNOWN_COMMUNITY_OUTPUT

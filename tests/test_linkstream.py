@@ -136,8 +136,9 @@ class TestParse:
             lines.append(f"{token} x y")
         bad_line = len(lines)
         lines += [valid(100 + i) for i in range(after)]
+        delta = 1 if fmt == "instantaneous" else None
         with pytest.raises(ParseError, match="non-finite") as exc:
-            parse_links("\n".join(lines), format=fmt, delta=1)
+            parse_links("\n".join(lines), format=fmt, delta=delta)
         assert exc.value.line == bad_line
 
     @pytest.mark.parametrize("sep", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
@@ -153,10 +154,11 @@ class TestParse:
         lines = [valid.format("a b"), f"# exported{sep}page 2", valid.format("a c"),
                  valid.format("b c"), bad]
         text = lines[0] + "\n" + lines[1] + "\r\n" + lines[2] + "\r" + "\n".join(lines[3:])
+        delta = 1 if fmt == "instantaneous" else None
         with pytest.raises(ParseError) as exc:
-            parse_links(text, format=fmt, delta=1)
+            parse_links(text, format=fmt, delta=delta)
         assert exc.value.line == 5
-        assert len(parse_links("\n".join(lines[:4]), format=fmt, delta=1).links) == 3
+        assert len(parse_links("\n".join(lines[:4]), format=fmt, delta=delta).links) == 3
 
     @pytest.mark.parametrize("t, delta", [("1.7e308", 1e308), (str(10**400), 1.5)])
     def test_instant_whose_end_overflows_reports_its_line(self, t, delta):
@@ -180,6 +182,11 @@ class TestParse:
     def test_unknown_format(self):
         with pytest.raises(ValueError):
             parse_links("", format="nonsense")
+
+    def test_durational_refuses_delta(self):
+        # a delta is never dropped without a word: it belongs to instantaneous input
+        with pytest.raises(ValueError, match="durational input takes no delta"):
+            parse_links("0 1 a b\n", delta=5)
 
     def test_instantaneous_requires_delta(self):
         with pytest.raises(ParseError, match="delta"):

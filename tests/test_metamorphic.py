@@ -1,0 +1,75 @@
+"""Metamorphic relations: transforming a stream transforms its communities alike.
+
+Each property builds a second stream from a random one by a map whose effect on
+the communities is known in advance, and compares the label-free community
+multisets of the two runs. None needs the oracle, so they also hold where the
+brute force cannot go.
+"""
+
+from __future__ import annotations
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import dense_streams, streams
+
+from lscpm import Link, LinkStream, compute_communities
+
+any_streams = st.one_of(streams(), dense_streams())
+ks = st.sampled_from([3, 4])
+
+
+def image(communities, vertex=lambda v: v, shift=0) -> list:
+    """Label-free community multiset, each vertex and time mapped first."""
+    return sorted(
+        sorted((vertex(v), tuple((t0 + shift, t1 + shift) for t0, t1 in spans))
+               for v, spans in c.canonical())
+        for c in communities
+    )
+
+
+def mapped(stream: LinkStream, vertex=lambda v: v, shift=0) -> list[Link]:
+    return [Link(ln.b + shift, ln.e + shift, vertex(ln.u), vertex(ln.v)) for ln in stream.links]
+
+
+def fresh_id(stream: LinkStream) -> int:
+    """An id above every vertex of the stream."""
+    return max((ln.v for ln in stream.links), default=-1) + 1
+
+
+@given(any_streams, ks, st.integers(-60, 60))
+@settings(max_examples=200, deadline=None)
+def test_shift_moves_every_span(stream, k, c):
+    shifted = LinkStream.from_links(mapped(stream, shift=c))
+    assert image(compute_communities(shifted, k)) == image(compute_communities(stream, k), shift=c)
+
+
+@given(any_streams, ks, st.randoms(use_true_random=False))
+@settings(max_examples=200, deadline=None)
+def test_relabel_permutes_every_community(stream, k, rng):
+    ids = list(range(fresh_id(stream)))
+    perm = dict(zip(ids, rng.sample(ids, len(ids))))
+    relabeled = LinkStream.from_links(mapped(stream, vertex=perm.__getitem__))
+    assert image(compute_communities(relabeled, k)) == \
+        image(compute_communities(stream, k), vertex=perm.__getitem__)
+
+
+@given(any_streams, ks)
+@settings(max_examples=200, deadline=None)
+def test_disjoint_copy_doubles_every_community(stream, k):
+    n = fresh_id(stream)
+    both = LinkStream.from_links([*stream.links, *mapped(stream, vertex=lambda v: v + n)])
+    once = compute_communities(stream, k)
+    assert image(compute_communities(both, k)) == \
+        sorted(image(once) + image(once, vertex=lambda v: v + n))
+
+
+@given(any_streams, ks)
+@settings(max_examples=200, deadline=None)
+def test_gap_concatenation_keeps_both_halves(stream, k):
+    # the copy begins one tick after the last end: no link or clique of the
+    # two halves meets, not even at one instant
+    c = (stream.span.t1 + 1 - stream.span.t0) if stream.links else 0
+    both = LinkStream.from_links([*stream.links, *mapped(stream, shift=c)])
+    once = compute_communities(stream, k)
+    assert image(compute_communities(both, k)) == sorted(image(once) + image(once, shift=c))

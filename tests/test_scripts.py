@@ -24,6 +24,26 @@ def test_k_sweep_defaults():
     assert [line.split(",")[0] for line in lines[2:]] == ["3", "4", "5", "6"]
 
 
+def test_k_sweep_reads_instantaneous_input(tmp_path):
+    # a 4-clique of instants: one clique and one community at k = 3 and 4
+    path = tmp_path / "instants.txt"
+    path.write_text("".join(f"0 {u} {v}\n" for u, v in
+                            [("a", "b"), ("a", "c"), ("a", "d"), ("b", "c"), ("b", "d"), ("c", "d")]))
+    proc = run_script("k_sweep.py", str(path), "--delta", "2", "--kmax", "4")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "# 6 links, 4 vertices"
+    assert [line.split(",")[:3] for line in lines[2:]] == [["3", "4", "1"], ["4", "1", "1"]]
+
+
+def test_k_sweep_refuses_k_below_3():
+    proc = run_script("k_sweep.py", "--kmin", "2")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("usage: k_sweep.py ")
+    assert "argument --kmin: k must be at least 3, got 2" in proc.stderr
+
+
 def test_cli_digest_lists_one_digest_per_run(tmp_path, known_text):
     path = tmp_path / "known.txt"
     path.write_text(known_text)
@@ -43,6 +63,11 @@ def test_cli_digest_lists_one_digest_per_run(tmp_path, known_text):
             assert any(f"  compare --k1 {k} --snapshot-times 0,4.5,9 {p}" in line
                        for line in lines), k
         assert any(line.endswith(f"  enumerate --k 3 {p}") for line in lines), p
+        # the file's bytes are also fed on standard input, once per k, with the
+        # same output: the digest covers output only, not the arguments
+        digests = {line.split("  ", 1)[1]: line.split("  ", 1)[0] for line in lines}
+        for k in (3, 4, 5):
+            assert digests[f"communities --k {k} - < {p}"] == digests[f"communities --k {k} {p}"]
 
 
 def test_scaling_experiment_small_sizes():
@@ -63,3 +88,4 @@ def test_cli_digest_passes_delta(tmp_path):
     for line in on_file:
         assert re.match(r"^[0-9a-f]{64}  \S", line), line
         assert " --delta 2 " in line, line
+    assert sum(line.endswith(f" --delta 2 - < {path}") for line in on_file) == 3
