@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Sweep k over a stream and report clique and community counts.
 
-With no input file, a synthetic stream is used. Verifies on the way that each
+With no input file, a fixed synthetic stream is used. Verifies on the way that each
 community at k+1 is contained in exactly one community at k, so the sweep
 doubles as a nesting sanity check on real data.
 """
@@ -14,7 +14,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from lscpm import enumerate_k_cliques, materialize, run_lscpm, synthetic_stream  # noqa: E402
-from lscpm.cli import delta_arg, k_arg, read_stream  # noqa: E402
+from lscpm.cli import delta_arg, k_arg, read_stream, report_data_error  # noqa: E402
 from lscpm.oracle import containing_communities  # noqa: E402
 
 
@@ -26,14 +26,16 @@ def main() -> int:
                     help="treat the input as instantaneous records with this duration")
     ap.add_argument("--kmin", type=k_arg, default=3)
     ap.add_argument("--kmax", type=k_arg, default=6)
-    ap.add_argument("--seed", type=int, default=11)
     args = ap.parse_args()
 
     if args.input is None:
         stream = synthetic_stream(n_vertices=60, n_instants=4000, span=400,
-                                  delta=25, seed=args.seed, block=6)
+                                  delta=25, seed=11, block=6)
     else:
-        stream = read_stream(args.input, args.delta)
+        try:
+            stream = read_stream(args.input, args.delta)
+        except (ValueError, OSError) as exc:
+            return report_data_error(exc)
     print(f"# {len(stream.links)} links, {stream.n_vertices} vertices")
     print("k,cliques,communities,seconds")
     previous = None

@@ -16,37 +16,50 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from lscpm import compute_communities, synthetic_stream  # noqa: E402
 
+K = 3
+VERTICES = 1000
+BLOCK = 10
+DELTA = 20
+SEED = 7
+
+
+def sizes_arg(text: str) -> list[int]:
+    """argparse type for --sizes: comma-separated instant counts, none negative."""
+    try:
+        sizes = [int(token) for token in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"not a comma-separated list of integers: {text!r}") from None
+    if min(sizes) < 0:
+        raise argparse.ArgumentTypeError(f"instant counts must be >= 0, got {text!r}")
+    return sizes
+
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--sizes", default="10000,100000,1000000",
+    ap.add_argument("--sizes", type=sizes_arg, default="10000,100000,1000000",
                     help="comma-separated instant counts")
-    ap.add_argument("--k", type=int, default=3)
-    ap.add_argument("--vertices", type=int, default=1000)
-    ap.add_argument("--block", type=int, default=10)
-    ap.add_argument("--delta", type=int, default=20)
-    ap.add_argument("--seed", type=int, default=7)
     args = ap.parse_args()
 
     print("instants,links,k,seconds,communities")
-    for size in (int(s) for s in args.sizes.split(",")):
+    for size in args.sizes:
         stream = synthetic_stream(
-            n_vertices=args.vertices,
+            n_vertices=VERTICES,
             n_instants=size,
             span=max(1, size // 10),
-            delta=args.delta,
-            seed=args.seed,
-            block=args.block,
+            delta=DELTA,
+            seed=SEED,
+            block=BLOCK,
         )
         gc.collect()
         gc.disable()
         try:
             begin = time.perf_counter()
-            communities = compute_communities(stream, args.k)
+            communities = compute_communities(stream, K)
             elapsed = time.perf_counter() - begin
         finally:
             gc.enable()
-        print(f"{size},{len(stream.links)},{args.k},{elapsed:.3f},{len(communities)}")
+        print(f"{size},{len(stream.links)},{K},{elapsed:.3f},{len(communities)}")
     return 0
 
 

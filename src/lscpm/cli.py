@@ -4,7 +4,7 @@ Subcommands:
   enumerate    stream maximal k-cliques, one per line
   communities  detect temporal communities, one membership interval per line
   stats        per-vertex community counts and community sizes, as CSV
-  compare      nesting between two k values, optional snapshot containment
+  compare      nesting across k (--k2) and/or snapshot containment (--snapshot-times)
   generate     synthetic stream generation
   oracle       brute-force reference output, for debugging small inputs
 
@@ -29,7 +29,6 @@ from .linkstream import (
     LinkStream,
     ParseError,
     Time,
-    _fmt_time,
     _parse_time,
     apply_delta,
     parse_links,
@@ -147,9 +146,9 @@ def read_stream(path: str, delta: Time | None) -> LinkStream:
 
 
 def _sep(args: argparse.Namespace, default: str = " ") -> str:
-    if getattr(args, "output", None) == "csv":
+    if args.output == "csv":
         return ","
-    if getattr(args, "output", None) == "tsv":
+    if args.output == "tsv":
         return "\t"
     return default
 
@@ -165,14 +164,10 @@ def _row_writer(out: TextIO, sep: str) -> Callable[[Sequence[str]], object]:
     return lambda fields: out.write(sep.join(fields) + "\n")
 
 
-class UsageError(Exception):
-    pass
-
-
 def _write_cliques(stream: LinkStream, cliques: Iterable[TemporalKClique],
                    write: Callable[[Sequence[str]], object]) -> None:
     for clique in cliques:
-        fields = [_fmt_time(clique.interval.t0), _fmt_time(clique.interval.t1)]
+        fields = [str(clique.interval.t0), str(clique.interval.t1)]
         fields += [stream.labels[v] for v in clique.vertices]
         write(fields)
 
@@ -193,7 +188,7 @@ def _write_communities(stream: LinkStream, communities: list[TemporalCommunity],
                 rows.append((community.id, label, iv.t0, iv.t1))
     rows.sort()
     for cid, label, t0, t1 in rows:
-        write((str(cid), label, _fmt_time(t0), _fmt_time(t1)))
+        write((str(cid), label, str(t0), str(t1)))
 
 
 def cmd_communities(args: argparse.Namespace, out: TextIO) -> int:
@@ -220,6 +215,8 @@ def cmd_stats(args: argparse.Namespace, out: TextIO) -> int:
 
 
 def cmd_compare(args: argparse.Namespace, out: TextIO) -> int:
+    if args.k2 is None and args.snapshot_times is None:
+        args.parser.error("compare needs --k2 or --snapshot-times")  # exits with code 2
     stream = read_stream(args.input, args.delta)
     base = compute_communities(stream, args.k1)
     if args.k2 is not None:
@@ -240,7 +237,7 @@ def cmd_compare(args: argparse.Namespace, out: TextIO) -> int:
                     contained += 1
             status = "all contained" if contained == len(snapshot) else \
                 f"{len(snapshot) - contained} not contained"
-            out.write(f"snapshot t={_fmt_time(t)}: {len(snapshot)} communities, {status}\n")
+            out.write(f"snapshot t={t}: {len(snapshot)} communities, {status}\n")
     return 0
 
 
@@ -249,10 +246,10 @@ def cmd_generate(args: argparse.Namespace, out: TextIO) -> int:
     try:
         instants = random_instants(rng, args.vertices, args.links, args.span, args.block)
     except ValueError as exc:
-        raise UsageError(str(exc)) from None
+        args.parser.error(str(exc))  # exits with code 2
     if args.delta is None:
         for t, u, v in sorted(instants):
-            out.write(f"{_fmt_time(t)} {u} {v}\n")
+            out.write(f"{t} {u} {v}\n")
     else:
         stream = apply_delta(instants, args.delta)
         out.write(serialize(stream))
@@ -272,19 +269,22 @@ def cmd_oracle(args: argparse.Namespace, out: TextIO) -> int:
     return 0
 
 
+def report_data_error(exc: ValueError | OSError) -> int:
+    """Print the one error line for invalid (ValueError) or unreadable (OSError) input; return 1."""
+    reason = f"cannot read input: {exc}" if isinstance(exc, OSError) else exc
+    print(f"error: {reason}", file=sys.stderr)
+    return 1
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args, extra = build_parser().parse_known_args(argv)
+    if extra:
+        # reported under the subcommand's own usage line, as every other usage error
+        args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         return args.func(args, sys.stdout)
-    except UsageError as exc:
-        args.parser.error(str(exc))  # exits with code 2
-        return 2
-    except (ParseError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: cannot read input: {exc}", file=sys.stderr)
-        return 1
+    except (ValueError, OSError) as exc:
+        return report_data_error(exc)
 
 
 if __name__ == "__main__":

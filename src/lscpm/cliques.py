@@ -95,8 +95,6 @@ class WindowGraph:
     def expire(self, b: Time) -> None:
         """Drop every edge ending strictly before b; an edge ending at b survives."""
         ends = self._ends
-        if not ends or ends[0] >= b:
-            return
         buckets = self._buckets
         adj = self.adj
         while ends and ends[0] < b:
@@ -122,23 +120,23 @@ def cliques_containing_edge(g: WindowGraph, u: int, v: int, k: int) -> list[tupl
 
     Reduces to listing (k - 2)-cliques of the subgraph induced by the common
     neighbors of u and v, by one recursion in increasing vertex id for every
-    k. This is the search enumeration runs, without its end-time cut-off.
+    k, with u and v in either order. This is the search enumeration runs,
+    without its end-time cut-off.
     """
     if k < 3:
         raise ValueError(f"k must be at least 3, got {k}")
-    if u > v:
-        u, v = v, u
     return [c for c, _, _ in _search(g, u, v, k, math.inf, -math.inf)]
 
 
 def _search(g: WindowGraph, u: int, v: int, k: int, e: Time,
             b: Time) -> list[tuple[tuple[int, ...], Time, Time]]:
-    """(clique, end, b) for each k-clique of g on the pair u < v whose end is > b.
+    """(clique, end, b) for each k-clique of g on the pair {u, v} whose end is > b.
 
     A clique's end is the earliest end time over its edges, with e standing in
-    for the edge (u, v). The common neighbors of u and v, found by walking the
-    smaller neighbor map and probing the larger, whose triangle ends after b
-    seed _grow, which extends the clique for every k. Each vertex
+    for the edge (u, v); _grow caps every end with e. The common neighbors of
+    u and v, found by walking the smaller neighbor map and probing the larger,
+    whose triangle ends after b seed _grow, which extends the clique for every
+    k and sorts each one, so u and v may come in either order. Each vertex
     added to a partial clique lowers the end by its edges to the vertices
     already in it, and a branch is dropped as soon as its end is <= b.
     """
@@ -156,8 +154,6 @@ def _search(g: WindowGraph, u: int, v: int, k: int, e: Time,
             continue
         if ev < ew:
             ew = ev
-        if ew > e:
-            ew = e
         if ew > b:
             live.append((w, ew))
     if not live:

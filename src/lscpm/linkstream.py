@@ -203,19 +203,8 @@ def _parse_time(token: str, line: int | None = None) -> Time:
     return t
 
 
-def _iter_lines(source) -> Iterable[str]:
-    """Lines of a text, split at LF, CRLF and CR only, as open() splits a file.
-
-    str.splitlines() would also split at form feeds and Unicode separators,
-    which can sit inside a comment.
-    """
-    if isinstance(source, str):
-        return source.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    return source  # file objects and other line iterables
-
-
-def parse_links(source, format: str = "durational", delta: Time | None = None) -> LinkStream:
-    """Parse text into a validated LinkStream.
+def parse_links(text: str, format: str = "durational", delta: Time | None = None) -> LinkStream:
+    """Parse a text, a str holding the whole input, into a validated LinkStream.
 
     Durational lines are ``b e u v`` and take no ``delta``; instantaneous
     lines are ``t u v`` and require ``delta``, the uniform duration given to
@@ -237,11 +226,13 @@ def parse_links(source, format: str = "durational", delta: Time | None = None) -
     ids: dict[str, int] = {}
     instants: list[tuple[Time, int, int]] = []
     entries: list[tuple[Link, int]] = []
-    for lineno, raw in enumerate(_iter_lines(source), 1):
-        text = raw.strip()
-        if not text or text.startswith("#"):
+    # Split at LF, CRLF and CR only, as open() does: splitlines() would also split
+    # at form feeds and Unicode separators, which can sit inside a comment. The
+    # line list stays unnamed, so it is freed with the loop, before the sort below.
+    for lineno, raw in enumerate(text.replace("\r\n", "\n").replace("\r", "\n").split("\n"), 1):
+        parts = raw.split()
+        if not parts or parts[0].startswith("#"):
             continue
-        parts = text.split()
         if len(parts) != width:
             raise ParseError(f"expected {shape}, got {len(parts)} fields", lineno)
         if instant:
@@ -350,9 +341,5 @@ def serialize(stream: LinkStream) -> str:
     Each line carries its label pair in sorted order, so the emitted content
     does not depend on the internal id assignment.
     """
-    lines = [f"{_fmt_time(b)} {_fmt_time(e)} {x} {y}" for b, e, x, y in stream.labeled_links()]
+    lines = [f"{b} {e} {x} {y}" for b, e, x, y in stream.labeled_links()]
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def _fmt_time(t: Time) -> str:
-    return repr(t) if isinstance(t, float) else str(t)

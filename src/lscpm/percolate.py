@@ -41,11 +41,11 @@ __all__ = [
 
 
 class UnionFind:
-    """Disjoint-set forest with path compression; each root is its set's smallest id.
+    """Disjoint-set forest with path halving; each root is its set's smallest id.
 
     Node ids are dense integers handed out by make_set in creation order.
-    Linking the larger root under the smaller, with path compression, keeps
-    find amortized logarithmic (Tarjan & van Leeuwen 1984) without ranks.
+    Linking the larger root under the smaller, with path halving, keeps find
+    amortized logarithmic (Tarjan & van Leeuwen 1984) without ranks.
     """
 
     __slots__ = ("_parent",)
@@ -65,12 +65,9 @@ class UnionFind:
         parent = self._parent
         if x < 0 or x >= len(parent):
             raise ValueError(f"unknown union-find id {x}")
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]  # point x at its grandparent, then step there
+        return x
 
     def union(self, p: int, q: int) -> int:
         """Merge the sets of p and q and return the surviving root, the smaller id."""
@@ -233,9 +230,8 @@ def compute_communities(stream: LinkStream, k: int) -> list[TemporalCommunity]:
     TemporalKClique built; equal to
     materialize(run_lscpm(enumerate_k_cliques(stream, k), k)). Like
     enumerate_k_cliques, it requires a valid stream (validate(stream) == []).
+    A k below 3 raises ValueError from the clique search.
     """
-    if k < 3:
-        raise ValueError(f"k must be at least 3, got {k}")
     state = PercolationState(k=k)
     _fold(state, _clique_keys(stream, k))
     return materialize(state)

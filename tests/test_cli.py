@@ -310,6 +310,8 @@ class TestErrors:
         ["generate", "--vertices", "10", "--links", "30", "--span", "-1"],
         ["compare", "--k1", "3", "--k2", "2", "IN"],
         ["communities", "--k", "2", "IN"],
+        ["enumerate", "--k", "3", "--bogus", "IN"],
+        ["compare", "--k1", "3", "IN"],
     ])
     def test_usage_error_prints_subcommand_usage(self, capsys, known_file, argv):
         with pytest.raises(SystemExit) as exc:

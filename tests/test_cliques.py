@@ -165,6 +165,7 @@ class TestCliquesContainingEdge:
         u, v = rng.choice(pairs)
         got = cliques_containing_edge(g, u, v, k)
         assert len(got) == len(set(got))
+        assert cliques_containing_edge(g, v, u, k) == got  # the pair's order does not matter
         common = g.adj[u].keys() & g.adj[v].keys()
         want = sorted(
             tuple(sorted((u, v) + rest))

@@ -160,6 +160,23 @@ class TestParse:
         assert exc.value.line == 5
         assert len(parse_links("\n".join(lines[:4]), format=fmt, delta=delta).links) == 3
 
+    @pytest.mark.parametrize("space", ["\x0b", "\x1c", "\x85", "\u3000"],
+                             ids=["VT", "FS", "NEL", "IDEOGRAPHIC"])
+    def test_unicode_whitespace_separates_fields_like_a_space(self, space):
+        # str.split() splits at every str.isspace() character, before, between
+        # and after the fields, and before a comment; none of these ends a line
+        good = "_0_5_a_b_\n_# note_\n_1_6_a_c_\n__\n2_7_b_c\n"
+        got = parse_links(good.replace("_", space))
+        want = parse_links(good.replace("_", " "))
+        assert (got.links, got.labels) == (want.links, want.labels)
+        for bad in ("_3_1_a_b_", "_9_a_b_", "_0_x_a_b_"):
+            with pytest.raises(ParseError) as want_exc:
+                parse_links((good + bad).replace("_", " "))
+            with pytest.raises(ParseError) as got_exc:
+                parse_links((good + bad).replace("_", space))
+            assert want_exc.value.line == 6
+            assert str(got_exc.value) == str(want_exc.value)
+
     @pytest.mark.parametrize("t, delta", [("1.7e308", 1e308), (str(10**400), 1.5)])
     def test_instant_whose_end_overflows_reports_its_line(self, t, delta):
         with pytest.raises(ParseError, match="non-finite") as exc:

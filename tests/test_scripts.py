@@ -4,7 +4,11 @@ import re
 import subprocess
 import sys
 
+import pytest
+
 from conftest import MIXED_END_TEXT, SRC
+
+from lscpm.cli import main
 
 SCRIPTS = SRC.parent / "scripts"
 
@@ -42,6 +46,31 @@ def test_k_sweep_refuses_k_below_3():
     assert proc.stdout == ""
     assert proc.stderr.startswith("usage: k_sweep.py ")
     assert "argument --kmin: k must be at least 3, got 2" in proc.stderr
+
+
+@pytest.mark.parametrize("data", [b"3 1 a b\n", b"0 5 a b\n0 5 a\xff c\n", None],
+                         ids=["parse-error", "not-utf8", "missing-file"])
+def test_k_sweep_reports_bad_input_as_the_cli_does(capsys, tmp_path, data):
+    path = tmp_path / "bad.txt"
+    if data is not None:
+        path.write_bytes(data)
+    assert main(["stats", "--k", "3", str(path)]) == 1
+    cli_err = capsys.readouterr().err
+    assert cli_err.startswith("error: ") and cli_err.count("\n") == 1
+    proc = run_script("k_sweep.py", str(path))
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == cli_err
+
+
+@pytest.mark.parametrize("sizes", ["x", "10,", "10,-1"])
+def test_scaling_experiment_refuses_bad_sizes(sizes):
+    proc = run_script("scaling_experiment.py", "--sizes", sizes)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("usage: scaling_experiment.py ")
+    assert "error: argument --sizes: " in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_cli_digest_lists_one_digest_per_run(tmp_path, known_text):
