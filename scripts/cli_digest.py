@@ -4,8 +4,8 @@
 Runs the ``lscpm`` CLI of the checkout this script sits in on each input file:
 enumerate, communities and stats with space, csv and tsv output, communities
 once more with the file's bytes fed on standard input (listed as
-``- < path``), compare (alone, against k + 1 and at snapshot times 0, 4.5 and
-9) and oracle, for k = 3, 4 and 5, plus two fixed generate runs. Each line
+``- < path``), compare (against k + 1, and at snapshot times 0, 4.5 and 9)
+and oracle, for k = 3, 4 and 5, plus two fixed generate runs. Each line
 reads ``<sha256>  <arguments>``; the digest covers stdout, stderr and the
 exit code.
 To compare a change with its parent, run the script of each checkout on the
@@ -61,7 +61,6 @@ def runs(path: str, delta: str | None) -> list[Run]:
             for output in ([], ["--output", "csv"], ["--output", "tsv"]):
                 out.append(([command, "--k", str(k), *output, *extra, path], None))
         out.append((["communities", "--k", str(k), *extra, "-"], path))
-        out.append((["compare", "--k1", str(k), *extra, path], None))
         out.append((["compare", "--k1", str(k), "--k2", str(k + 1), *extra, path], None))
         out.append((["compare", "--k1", str(k), "--snapshot-times", SNAPSHOT_TIMES, *extra, path],
                     None))

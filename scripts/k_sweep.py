@@ -34,7 +34,7 @@ def main() -> int:
     else:
         try:
             stream = read_stream(args.input, args.delta)
-        except (ValueError, OSError) as exc:
+        except ValueError as exc:
             return report_data_error(exc)
     print(f"# {len(stream.links)} links, {stream.n_vertices} vertices")
     print("k,cliques,communities,seconds")

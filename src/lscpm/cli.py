@@ -12,7 +12,7 @@ Input is UTF-8 text, a file or standard input (``-``) read the same way. Lines
 are durational ``b e u v``, or instantaneous ``t u v`` when ``--delta`` gives
 each instant its duration.
 
-Exit codes: 0 ok, 1 data error (unreadable or invalid input), 2 usage error.
+Exit codes: 0 ok, 1 unreadable or invalid input or unwritable output, 2 usage error.
 Output is deterministic: identical input and flags give identical bytes.
 """
 
@@ -22,6 +22,7 @@ import argparse
 import csv
 import random
 import sys
+from pathlib import Path
 from typing import Callable, Iterable, Sequence, TextIO
 
 from .cliques import TemporalKClique, enumerate_k_cliques
@@ -134,31 +135,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 def read_stream(path: str, delta: Time | None) -> LinkStream:
     """Parse a file, or standard input for ``-``; a delta means instantaneous lines."""
-    if path == "-":
-        data = sys.stdin.buffer.read()
-    else:
-        with open(path, "rb") as handle:
-            data = handle.read()
+    try:
+        data = sys.stdin.buffer.read() if path == "-" else Path(path).read_bytes()
+    except OSError as exc:
+        raise ValueError(f"cannot read input: {exc}") from exc
     text = data.decode("utf-8")
     del data  # the bytes need not outlive the parse
     fmt = "durational" if delta is None else "instantaneous"
     return parse_links(text, format=fmt, delta=delta)
 
 
-def _sep(args: argparse.Namespace, default: str = " ") -> str:
-    if args.output == "csv":
-        return ","
-    if args.output == "tsv":
-        return "\t"
-    return default
-
-
-def _row_writer(out: TextIO, sep: str) -> Callable[[Sequence[str]], object]:
+def _row_writer(out: TextIO, output: str | None,
+                default: str = " ") -> Callable[[Sequence[str]], object]:
     """Write one row of fields per line; comma-separated rows are quoted as CSV.
 
     Labels may hold commas and quotes but no whitespace, so only the comma
     separator needs quoting.
     """
+    sep = {"csv": ",", "tsv": "\t"}.get(output, default)
     if sep == ",":
         return csv.writer(out, lineterminator="\n").writerow
     return lambda fields: out.write(sep.join(fields) + "\n")
@@ -172,10 +166,9 @@ def _write_cliques(stream: LinkStream, cliques: Iterable[TemporalKClique],
         write(fields)
 
 
-def cmd_enumerate(args: argparse.Namespace, out: TextIO) -> int:
+def cmd_enumerate(args: argparse.Namespace, out: TextIO) -> None:
     stream = read_stream(args.input, args.delta)
-    _write_cliques(stream, enumerate_k_cliques(stream, args.k), _row_writer(out, _sep(args)))
-    return 0
+    _write_cliques(stream, enumerate_k_cliques(stream, args.k), _row_writer(out, args.output))
 
 
 def _write_communities(stream: LinkStream, communities: list[TemporalCommunity],
@@ -191,17 +184,16 @@ def _write_communities(stream: LinkStream, communities: list[TemporalCommunity],
         write((str(cid), label, str(t0), str(t1)))
 
 
-def cmd_communities(args: argparse.Namespace, out: TextIO) -> int:
+def cmd_communities(args: argparse.Namespace, out: TextIO) -> None:
     stream = read_stream(args.input, args.delta)
     communities = compute_communities(stream, args.k)
-    _write_communities(stream, communities, _row_writer(out, _sep(args)))
-    return 0
+    _write_communities(stream, communities, _row_writer(out, args.output))
 
 
-def cmd_stats(args: argparse.Namespace, out: TextIO) -> int:
+def cmd_stats(args: argparse.Namespace, out: TextIO) -> None:
     stream = read_stream(args.input, args.delta)
     communities = compute_communities(stream, args.k)
-    write = _row_writer(out, _sep(args, default=","))
+    write = _row_writer(out, args.output, default=",")
     counts = {v: 0 for v in stream.labels}
     for community in communities:
         for v in community.members:
@@ -211,10 +203,9 @@ def cmd_stats(args: argparse.Namespace, out: TextIO) -> int:
         write(("vertex_communities", stream.labels[v], str(counts[v])))
     for community in communities:
         write(("community_size", str(community.id), str(len(community.members))))
-    return 0
 
 
-def cmd_compare(args: argparse.Namespace, out: TextIO) -> int:
+def cmd_compare(args: argparse.Namespace, out: TextIO) -> None:
     if args.k2 is None and args.snapshot_times is None:
         args.parser.error("compare needs --k2 or --snapshot-times")  # exits with code 2
     stream = read_stream(args.input, args.delta)
@@ -238,10 +229,9 @@ def cmd_compare(args: argparse.Namespace, out: TextIO) -> int:
             status = "all contained" if contained == len(snapshot) else \
                 f"{len(snapshot) - contained} not contained"
             out.write(f"snapshot t={t}: {len(snapshot)} communities, {status}\n")
-    return 0
 
 
-def cmd_generate(args: argparse.Namespace, out: TextIO) -> int:
+def cmd_generate(args: argparse.Namespace, out: TextIO) -> None:
     rng = random.Random(args.seed)
     try:
         instants = random_instants(rng, args.vertices, args.links, args.span, args.block)
@@ -253,26 +243,23 @@ def cmd_generate(args: argparse.Namespace, out: TextIO) -> int:
     else:
         stream = apply_delta(instants, args.delta)
         out.write(serialize(stream))
-    return 0
 
 
-def cmd_oracle(args: argparse.Namespace, out: TextIO) -> int:
+def cmd_oracle(args: argparse.Namespace, out: TextIO) -> None:
     stream = read_stream(args.input, args.delta)
     cliques = sorted(oracle_enumerate(stream, args.k),
                      key=lambda c: (c.interval.t0, c.vertices, c.interval.t1))
     out.write("# cliques\n")
-    write = _row_writer(out, " ")
+    write = _row_writer(out, None)
     _write_cliques(stream, cliques, write)
     _, communities = oracle_communities(cliques, args.k)
     out.write("# communities\n")
     _write_communities(stream, communities, write)
-    return 0
 
 
-def report_data_error(exc: ValueError | OSError) -> int:
-    """Print the one error line for invalid (ValueError) or unreadable (OSError) input; return 1."""
-    reason = f"cannot read input: {exc}" if isinstance(exc, OSError) else exc
-    print(f"error: {reason}", file=sys.stderr)
+def report_data_error(exc: ValueError) -> int:
+    """Print the one error line for invalid or unreadable input; return 1."""
+    print(f"error: {exc}", file=sys.stderr)
     return 1
 
 
@@ -282,9 +269,15 @@ def main(argv: Sequence[str] | None = None) -> int:
         # reported under the subcommand's own usage line, as every other usage error
         args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
-        return args.func(args, sys.stdout)
-    except (ValueError, OSError) as exc:
+        args.func(args, sys.stdout)
+        sys.stdout.flush()  # a failed write shows here, not when Python flushes at exit
+    except ValueError as exc:
         return report_data_error(exc)
+    except OSError as exc:  # read_stream words its own failures as a ValueError
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        sys.stdout = None  # so the flush at exit does not fail again on the unwritten rest
+        return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ soon as its end is <= b, so candidates of zero length never form (a clique
 needs a strictly positive interval). A maximal clique begins when the last of
 its links begins, so on a valid stream (pairs disjoint, links a set) the link
 that completes it finds it exactly once: the output is exactly the set of
-maximal k-cliques, emitted by non-decreasing start time with no dedup pass.
+maximal k-cliques, emitted by non-decreasing start time.
 
 The search hands each clique on as a plain (vertices, end, begin) tuple;
 compute_communities folds those tuples directly. A TemporalKClique is built
@@ -211,8 +211,7 @@ def _clique_keys(stream: LinkStream, k: int) -> Iterator[tuple[tuple[int, ...], 
     """Yield (vertices, end, begin) for every maximal k-clique, by non-decreasing begin.
 
     Cliques sharing a begin time are buffered as these keys until the time
-    advances; each batch is then yielded in key order. Each clique is found
-    once, by the link that completes it, so the batch needs no dedup.
+    advances; each batch is then yielded in key order, each clique once.
 
     A time may be written two ways, such as 5 and 5.0. A clique takes its
     begin from the link that completes it and its end from the first of its

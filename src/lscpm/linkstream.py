@@ -56,9 +56,6 @@ class Interval:
     def contains(self, other: Interval) -> bool:
         return self.t0 <= other.t0 and other.t1 <= self.t1
 
-    def contains_time(self, t: Time) -> bool:
-        return self.t0 <= t <= self.t1
-
     def overlap_length(self, other: Interval) -> Time:
         """Length of the intersection; negative when the intervals are apart."""
         return min(self.t1, other.t1) - max(self.t0, other.t0)

@@ -238,16 +238,20 @@ def _cover(spans: PairSpans, u: int, v: int, interval: Interval) -> tuple[Time, 
     return None
 
 
+def _covers(stream: LinkStream, vertices: Sequence[int], interval: Interval,
+            spans: PairSpans | None) -> list[tuple[Time, Time] | None]:
+    """Each vertex pair's link covering interval, None where no link does."""
+    spans = spans if spans is not None else pair_spans(stream)
+    return [_cover(spans, u, v, interval) for u, v in combinations(vertices, 2)]
+
+
 def is_clique(
     stream: LinkStream, vertices: Sequence[int], interval: Interval, spans: PairSpans | None = None
 ) -> bool:
     """Definition check: every pair covered by one link, positive length."""
     if len(vertices) < 2 or not interval.is_positive():
         return False
-    spans = spans if spans is not None else pair_spans(stream)
-    return all(
-        _cover(spans, u, v, interval) is not None for u, v in combinations(sorted(vertices), 2)
-    )
+    return None not in _covers(stream, vertices, interval, spans)
 
 
 def can_start_earlier(
@@ -258,10 +262,7 @@ def can_start_earlier(
     Equivalent to every pair's covering link beginning strictly before t0;
     the check is exact, no epsilon is involved.
     """
-    spans = spans if spans is not None else pair_spans(stream)
-    covers = [
-        _cover(spans, u, v, clique.interval) for u, v in combinations(clique.vertices, 2)
-    ]
+    covers = _covers(stream, clique.vertices, clique.interval, spans)
     return all(c is not None and c[0] < clique.interval.t0 for c in covers)
 
 
@@ -269,10 +270,7 @@ def can_end_later(
     stream: LinkStream, clique: TemporalKClique, spans: PairSpans | None = None
 ) -> bool:
     """True when some later end would still leave a clique."""
-    spans = spans if spans is not None else pair_spans(stream)
-    covers = [
-        _cover(spans, u, v, clique.interval) for u, v in combinations(clique.vertices, 2)
-    ]
+    covers = _covers(stream, clique.vertices, clique.interval, spans)
     return all(c is not None and c[1] > clique.interval.t1 for c in covers)
 
 

@@ -11,12 +11,12 @@ root once and unions the member vertices' presence intervals.
 
 compute_communities chains the stages in one chronological pass: cliques are
 folded as enumeration yields them, so the full clique set is never held. The
-search hands each clique to the fold as a plain (vertices, end, begin) tuple,
-with no object in between; a TemporalKClique is built only for the callers of
-enumerate_k_cliques, and process_k_clique and run_lscpm unwrap theirs into the
-same tuples, so one fold loop serves all three. Each clique's end is the one
-its search carried as the clique grew; the search drops a branch as soon as
-its end is <= its start, so every clique folded here has positive length.
+search hands each clique to the fold as a plain (vertices, end, begin) tuple;
+a TemporalKClique is built only for the callers of enumerate_k_cliques, and
+process_k_clique and run_lscpm unwrap theirs into the same tuples, so one fold
+loop serves all three. Each clique's end is the one its search carried as the
+clique grew; the search drops a branch as soon as its end is <= its start, so
+every clique folded here has positive length.
 """
 
 from __future__ import annotations
@@ -105,9 +105,9 @@ class PercolationState:
     """
 
     k: int
-    uf: UnionFind = field(default_factory=UnionFind)
-    memberships: dict[tuple[int, ...], list[Membership]] = field(default_factory=dict)
-    last_start: Time | None = field(default=None, compare=False)
+    uf: UnionFind = field(default_factory=UnionFind, init=False)
+    memberships: dict[tuple[int, ...], list[Membership]] = field(default_factory=dict, init=False)
+    last_start: Time = field(default=float("-inf"), init=False, compare=False)
 
 
 def process_k_clique(state: PercolationState, clique: TemporalKClique) -> None:
@@ -152,7 +152,7 @@ def _fold(state: PercolationState, cliques: Iterable[tuple[tuple[int, ...], Time
     for verts, t1, t0 in cliques:
         if len(verts) != k:
             raise ValueError(f"expected a {k}-clique, got {len(verts)} vertices")
-        if state.last_start is not None and t0 < state.last_start:
+        if t0 < state.last_start:
             raise ValueError(f"clique starting at {t0!r} arrived after start {state.last_start!r}")
         state.last_start = t0
         root = -1
@@ -187,9 +187,7 @@ class TemporalCommunity:
     members: dict[int, tuple[Interval, ...]]
 
     def present_at(self, t: Time) -> set[int]:
-        return {
-            v for v, spans in self.members.items() if any(iv.contains_time(t) for iv in spans)
-        }
+        return {v for v, spans in self.members.items() if any(iv.t0 <= t <= iv.t1 for iv in spans)}
 
     def canonical(self) -> frozenset[tuple[int, tuple[tuple[Time, Time], ...]]]:
         """Label-free value for comparing communities across runs."""

@@ -13,6 +13,13 @@ __all__ = [
     "random_durational_stream",
 ]
 
+MAX_INSTANTS = 80  # random_stream: most instants drawn
+MAX_DELTA = 30  # random_stream: longest duration of an instant
+MAX_VERTICES = 12  # random_durational_stream: most vertices
+MAX_PAIRS = 18  # random_durational_stream: most linked pairs
+MAX_TIME = 60  # random_durational_stream: times lie in [0, MAX_TIME)
+ZERO_PROB = 0.1  # random_durational_stream: chance that a link has zero length
+
 
 def random_instants(
     rng: random.Random,
@@ -67,43 +74,32 @@ def synthetic_stream(
     return apply_delta(instants, delta)
 
 
-def random_stream(
-    rng: random.Random,
-    max_vertices: int = 15,
-    max_instants: int = 80,
-    max_span: int = 60,
-    max_delta: int = 30,
-) -> LinkStream:
-    """Small random stream via delta expansion, for randomized checks."""
+def random_stream(rng: random.Random, max_vertices: int = 15, max_span: int = 60) -> LinkStream:
+    """Delta-expanded random stream of up to MAX_INSTANTS instants, each lasting up to MAX_DELTA."""
     n = rng.randint(3, max_vertices)
-    m = rng.randint(0, max_instants)
+    m = rng.randint(0, MAX_INSTANTS)
     span = rng.randint(5, max_span)
-    delta = rng.randint(1, max_delta)
+    delta = rng.randint(1, MAX_DELTA)
     return apply_delta(random_instants(rng, n, m, span), delta)
 
 
-def random_durational_stream(
-    rng: random.Random,
-    max_vertices: int = 12,
-    max_pairs: int = 18,
-    max_time: int = 60,
-    zero_prob: float = 0.1,
-) -> LinkStream:
-    """Random stream with per-pair disjoint intervals drawn directly.
+def random_durational_stream(rng: random.Random) -> LinkStream:
+    """Random stream of up to MAX_VERTICES vertices and MAX_PAIRS linked pairs.
 
-    Durations vary freely and a few links are zero-length on purpose; those
-    are valid data that can never support a clique.
+    Each pair gets one to three disjoint links in [0, MAX_TIME), drawn directly.
+    A link is zero-length with probability ZERO_PROB on purpose: valid data that
+    can never support a clique.
     """
-    n = rng.randint(3, max_vertices)
+    n = rng.randint(3, MAX_VERTICES)
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     rng.shuffle(pairs)
     links: list[Link] = []
-    for u, v in pairs[: rng.randint(0, min(max_pairs, len(pairs)))]:
+    for u, v in pairs[: rng.randint(0, min(MAX_PAIRS, len(pairs)))]:
         count = rng.randint(1, 3)
-        points = sorted(rng.sample(range(max_time), 2 * count))
+        points = sorted(rng.sample(range(MAX_TIME), 2 * count))
         for i in range(count):
             s, e = points[2 * i], points[2 * i + 1]
-            if rng.random() < zero_prob:
+            if rng.random() < ZERO_PROB:
                 e = s
             links.append(Link(s, e, u, v))
     return LinkStream.from_links(links)

@@ -1,4 +1,5 @@
 import csv
+import errno
 import io
 import os
 import subprocess
@@ -150,6 +151,10 @@ class TestCompare:
         assert "equal: no" in out
         assert "refinement: k2 ⊆ k1" in out
         assert "communities: k1=2 k2=1" in out
+        code, out, _ = run_cli(capsys, "compare", "--k1", "4", "--k2", "3", str(path))
+        assert code == 0
+        assert "refinement: k1 ⊆ k2" in out
+        assert "communities: k1=1 k2=2" in out
 
     def test_same_k_is_equal(self, capsys, known_file):
         code, out, _ = run_cli(capsys, "compare", "--k1", "3", "--k2", "3", known_file)
@@ -326,6 +331,19 @@ class TestErrors:
         assert code == 1
         assert "error" in err
 
+    @pytest.mark.parametrize("exc", [
+        OSError(errno.ENOSPC, "No space left on device"),
+        BrokenPipeError(errno.EPIPE, "Broken pipe"),
+    ], ids=["disk-full", "broken-pipe"])
+    def test_write_failure_is_not_a_read_failure(self, capsys, monkeypatch, known_file, exc):
+        class FailingOut(io.StringIO):
+            def write(self, text):
+                raise exc
+
+        monkeypatch.setattr(sys, "stdout", FailingOut())
+        assert main(["enumerate", "--k", "3", known_file]) == 1
+        assert capsys.readouterr().err == f"error: cannot write output: {exc}\n"
+
     def test_k_too_small_is_usage_error(self, capsys, known_file):
         with pytest.raises(SystemExit) as exc:
             main(["enumerate", "--k", "2", known_file])
@@ -375,6 +393,21 @@ class TestEntryPoint:
                                stdin=KNOWN_STREAM_TEXT.encode())
         assert proc.returncode == 0
         assert proc.stdout.decode() == KNOWN_COMMUNITY_OUTPUT
+
+    def test_reader_closing_the_pipe_early(self, tmp_path):
+        # far more output than a pipe holds, so the CLI is still writing when
+        # its reader goes away, as under `| head -1`
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+        argv = ["generate", "--vertices", "30", "--links", "100000", "--span", "100"]
+        proc = subprocess.Popen([sys.executable, "-m", "lscpm", *argv], stdin=subprocess.DEVNULL,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+                                cwd=str(tmp_path))
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 1
+        assert err == b"error: cannot write output: [Errno 32] Broken pipe\n"
 
     def test_invalid_utf8_on_stdin_fails_as_in_a_file(self, tmp_path):
         data = b"0 5 a b\n0 5 a\xff c\n0 5 b c\n"

@@ -134,6 +134,8 @@ class TestCliquesContainingEdge:
     def test_path_has_no_triangle(self):
         g = window_with(Link(0, 9, 0, 1), Link(0, 9, 1, 2))
         assert cliques_containing_edge(g, 0, 1, 3) == []
+        # a vertex with no live neighbor is not in the window at all
+        assert cliques_containing_edge(g, 0, 7, 3) == []
 
     def test_k_must_be_at_least_three(self):
         g = complete_window(3)
@@ -192,6 +194,8 @@ class TestEnumerate:
     def test_k_below_three_rejected(self, known_stream):
         with pytest.raises(ValueError):
             list(enumerate_k_cliques(known_stream, 2))
+        with pytest.raises(ValueError, match="k must be at least 3"):
+            oracle_enumerate(known_stream, 2)
 
     def test_zero_length_candidate_suppressed(self):
         # the third edge arrives exactly when the first two end

@@ -342,6 +342,11 @@ class TestValidate:
         kinds = [v.kind for v in validate(stream)]
         assert "label-missing" in kinds
 
+    def test_duplicate_label_found(self):
+        stream = LinkStream((Link(1, 2, 0, 1),), {0: "a", 1: "a"})
+        kinds = [v.kind for v in validate(stream)]
+        assert kinds == ["label-duplicate"]
+
     @pytest.mark.parametrize("b, e", [(math.nan, 5), (1, math.inf), (-math.inf, 2)])
     def test_non_finite_found(self, b, e):
         stream = LinkStream((Link(b, e, 0, 1),), {0: "a", 1: "b"})

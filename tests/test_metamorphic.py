@@ -8,12 +8,15 @@ brute force cannot go.
 
 from __future__ import annotations
 
+import random
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import dense_streams, streams
 
-from lscpm import Link, LinkStream, compute_communities
+from lscpm import Link, LinkStream, compute_communities, synthetic_stream
 
 any_streams = st.one_of(streams(), dense_streams())
 ks = st.sampled_from([3, 4])
@@ -73,3 +76,36 @@ def test_gap_concatenation_keeps_both_halves(stream, k):
     both = LinkStream.from_links([*stream.links, *mapped(stream, shift=c)])
     once = compute_communities(stream, k)
     assert image(compute_communities(both, k)) == sorted(image(once) + image(once, shift=c))
+
+
+# Generated streams far past the oracle's limits: the default stream of
+# scripts/k_sweep.py, and the seed-1 stream of the sparse-k3 benchmark workload.
+LONG_STREAMS = {
+    "k-sweep": lambda: synthetic_stream(60, 4000, 400, 25, 11, block=6),
+    "sparse-k3": lambda: synthetic_stream(1000, 60_000, 6_000, 20, 1, block=10),
+}
+
+
+@pytest.mark.parametrize("name, k, count", [
+    ("k-sweep", 3, 11),
+    ("k-sweep", 4, 89),
+    ("sparse-k3", 3, 817),
+])
+def test_relations_hold_on_long_streams(name, k, count):
+    stream = LONG_STREAMS[name]()
+    once = compute_communities(stream, k)
+    assert len(once) == count  # not empty, so no relation below holds vacuously
+
+    def run(links):
+        return image(compute_communities(LinkStream.from_links(links), k))
+
+    assert run(mapped(stream, shift=7)) == image(once, shift=7)
+    ids = list(range(fresh_id(stream)))
+    perm = dict(zip(ids, random.Random(k).sample(ids, len(ids))))
+    assert run(mapped(stream, vertex=perm.__getitem__)) == image(once, vertex=perm.__getitem__)
+    n = len(ids)
+    assert run([*stream.links, *mapped(stream, vertex=lambda v: v + n)]) == \
+        sorted(image(once) + image(once, vertex=lambda v: v + n))
+    c = stream.span.t1 + 1 - stream.span.t0
+    assert run([*stream.links, *mapped(stream, shift=c)]) == \
+        sorted(image(once) + image(once, shift=c))

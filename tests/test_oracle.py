@@ -200,6 +200,9 @@ class TestCompare:
         assert report.equal
         assert report.refinement == "equal"
         assert report.diffs == ()
+        # a repeat makes the multisets differ while each side still lies in the other
+        c = a[0]
+        assert compare_communities([c, c], [c]).refinement == "mutual"
 
     def test_disjoint_lists(self):
         a = [community(0, {0: [(0, 5)]})]
@@ -232,3 +235,4 @@ class TestCompare:
         report = compare_communities(k4, k3)
         assert report.a_in_b and not report.equal
         assert report.refinement == "a ⊆ b"
+        assert compare_communities(k3, k4).refinement == "b ⊆ a"

@@ -175,8 +175,15 @@ class TestProcess:
     def test_out_of_order_clique_rejected(self):
         state = PercolationState(k=3)
         process_k_clique(state, kc((0, 1, 2), 5, 9))
-        with pytest.raises(ValueError, match="arrived after"):
+        with pytest.raises(ValueError, match="^clique starting at 4 arrived after start 5$"):
             process_k_clique(state, kc((0, 1, 3), 4, 9))
+
+    def test_state_takes_only_k(self):
+        # the union-find, the memberships and the last start always begin empty
+        with pytest.raises(TypeError):
+            PercolationState(k=3, uf=UnionFind())
+        with pytest.raises(TypeError):
+            PercolationState(3, UnionFind())
 
     def test_wrong_clique_size_rejected(self):
         state = PercolationState(k=3)
