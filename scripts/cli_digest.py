@@ -7,7 +7,11 @@ once more with the file's bytes fed on standard input (listed as
 ``- < path``), compare (against k + 1, and at snapshot times 0, 4.5 and 9)
 and oracle, for k = 3, 4 and 5, plus two fixed generate runs. Each line
 reads ``<sha256>  <arguments>``; the digest covers stdout, stderr and the
-exit code.
+exit code. The oracle and snapshot-time runs check results only on files
+within the oracle's limits (20 vertices, 200 links, and 20 vertices alive at
+a snapshot time). On larger files they digest the refusal, or an empty
+result where little is alive at times 0, 4.5 and 9, so a listing that should
+cover them needs a small file.
 To compare a change with its parent, run the script of each checkout on the
 same paths and diff the two listings:
 

@@ -3,7 +3,8 @@
 
 With no input file, a fixed synthetic stream is used. Verifies on the way that each
 community at k+1 is contained in exactly one community at k, so the sweep
-doubles as a nesting sanity check on real data.
+doubles as a nesting sanity check on real data: a broken nesting is reported
+on stderr with exit status 1.
 """
 
 import argparse
@@ -27,6 +28,8 @@ def main() -> int:
     ap.add_argument("--kmin", type=k_arg, default=3)
     ap.add_argument("--kmax", type=k_arg, default=6)
     args = ap.parse_args()
+    if args.kmin > args.kmax:
+        ap.error(f"--kmin {args.kmin} is above --kmax {args.kmax}")
 
     if args.input is None:
         stream = synthetic_stream(n_vertices=60, n_instants=4000, span=400,
@@ -47,8 +50,9 @@ def main() -> int:
         print(f"{k},{len(cliques)},{len(communities)},{elapsed:.3f}")
         if previous is not None:
             for inner in communities:
-                hits = containing_communities(inner, previous)
-                assert len(hits) == 1, f"nesting broken between k={k - 1} and k={k}"
+                if len(containing_communities(inner, previous)) != 1:
+                    print(f"error: nesting broken between k={k - 1} and k={k}", file=sys.stderr)
+                    return 1
         previous = communities
     return 0
 

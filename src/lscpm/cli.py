@@ -266,8 +266,10 @@ def report_data_error(exc: ValueError) -> int:
 def main(argv: Sequence[str] | None = None) -> int:
     args, extra = build_parser().parse_known_args(argv)
     if extra:
-        # reported under the subcommand's own usage line, as every other usage error
-        args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
+        # under the subcommand's usage line; argparse may take an unknown option's value
+        # as the input, so only the leftover options are named when there are any
+        options = [a for a in extra if a.startswith("-") and a != "-"]
+        args.parser.error(f"unrecognized arguments: {' '.join(options or extra)}")
     try:
         args.func(args, sys.stdout)
         sys.stdout.flush()  # a failed write shows here, not when Python flushes at exit

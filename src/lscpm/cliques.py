@@ -211,7 +211,7 @@ def _clique_keys(stream: LinkStream, k: int) -> Iterator[tuple[tuple[int, ...], 
     """Yield (vertices, end, begin) for every maximal k-clique, by non-decreasing begin.
 
     Cliques sharing a begin time are buffered as these keys until the time
-    advances; each batch is then yielded in key order, each clique once.
+    advances; each batch is then yielded in key order.
 
     A time may be written two ways, such as 5 and 5.0. A clique takes its
     begin from the link that completes it and its end from the first of its

@@ -50,16 +50,6 @@ class Interval:
         if not self.t0 <= self.t1:  # NaN fails every comparison, so this refuses it too
             raise ValueError(f"bad interval [{self.t0!r}, {self.t1!r}]: end before start or a NaN endpoint")
 
-    def is_positive(self) -> bool:
-        return self.t1 > self.t0
-
-    def contains(self, other: Interval) -> bool:
-        return self.t0 <= other.t0 and other.t1 <= self.t1
-
-    def overlap_length(self, other: Interval) -> Time:
-        """Length of the intersection; negative when the intervals are apart."""
-        return min(self.t1, other.t1) - max(self.t0, other.t0)
-
 
 class Link(NamedTuple):
     """One temporal edge on the pair u < v; tuple order is (b, e, u, v).

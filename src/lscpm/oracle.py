@@ -4,8 +4,10 @@ Everything here recomputes results straight from the definitions: maximal
 k-cliques by intersecting per-pair interval sets, communities by building the
 explicit clique-adjacency graph and walking its connected components, and
 snapshot percolation on the static graph alive at one instant. None of it
-shares algorithmic machinery with the streaming path, and none of it is meant
-to be fast.
+shares algorithmic machinery with the streaming path: Interval is read here
+only for its endpoints. The brute-force parts are not meant to be fast, but
+compare_communities also serves `lscpm compare` on full results, so
+_all_contained finds containment through a vertex index.
 """
 
 from __future__ import annotations
@@ -125,7 +127,7 @@ def oracle_enumerate(stream: LinkStream, k: int) -> set[TemporalKClique]:
 
 def _adjacent(a: TemporalKClique, b: TemporalKClique, k: int) -> bool:
     shared = len(set(a.vertices) & set(b.vertices))
-    return shared == k - 1 and a.interval.overlap_length(b.interval) > 0
+    return shared == k - 1 and max(a.interval.t0, b.interval.t0) < min(a.interval.t1, b.interval.t1)
 
 
 def _components(n: int, adjacent: Callable[[int, int], bool]) -> list[list[int]]:
@@ -249,7 +251,7 @@ def is_clique(
     stream: LinkStream, vertices: Sequence[int], interval: Interval, spans: PairSpans | None = None
 ) -> bool:
     """Definition check: every pair covered by one link, positive length."""
-    if len(vertices) < 2 or not interval.is_positive():
+    if len(vertices) < 2 or not interval.t0 < interval.t1:
         return False
     return None not in _covers(stream, vertices, interval, spans)
 
@@ -303,7 +305,7 @@ def community_contains(outer: TemporalCommunity, inner: TemporalCommunity) -> bo
         if outer_spans is None:
             return False
         for iv in spans:
-            if not any(o.contains(iv) for o in outer_spans):
+            if not any(o.t0 <= iv.t0 and iv.t1 <= o.t1 for o in outer_spans):
                 return False
     return True
 

@@ -73,15 +73,9 @@ class UnionFind:
         """Merge the sets of p and q and return the surviving root, the smaller id."""
         rp = self.find(p)
         rq = self.find(q)
-        if rp == rq:
-            return rp
-        return self._link(rp, rq)
-
-    def _link(self, rp: int, rq: int) -> int:
-        """Hang the larger of two distinct roots under the smaller; returns the smaller."""
         if rq < rp:
             rp, rq = rq, rp
-        self._parent[rq] = rp
+        self._parent[rq] = rp  # the larger root hangs under the smaller; a no-op when equal
         return rp
 
 
@@ -140,13 +134,13 @@ def _fold(state: PercolationState, cliques: Iterable[tuple[tuple[int, ...], Time
     Subsets are visited by dropping vertex 0, 1, ..., k - 1 in turn, which is
     reversed lexicographic order. `root` is the root of the clique's community
     once one is known: the first live subset's root or the node made for the
-    first lapsed one. Later live subsets are linked to it when their roots
-    differ.
+    first lapsed one. Later live subsets are united with it when their roots
+    differ; both arguments are roots then, so union's finds return at once.
     """
     k = state.k
     uf = state.uf
     find = uf.find
-    link = uf._link
+    union = uf.union
     make_set = uf.make_set
     memberships = state.memberships
     for verts, t1, t0 in cliques:
@@ -167,7 +161,7 @@ def _fold(state: PercolationState, cliques: Iterable[tuple[tuple[int, ...], Time
                 if root == -1:
                     root = r
                 elif r != root:
-                    root = link(root, r)
+                    root = union(root, r)
             else:
                 # not yet, or no longer, in any community: open a new membership
                 if root == -1:

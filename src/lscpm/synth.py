@@ -42,20 +42,15 @@ def random_instants(
     if block is not None:
         if block < 2 or n_vertices % block != 0:
             raise ValueError("block must be >= 2 and divide n_vertices")
+    size = block or n_vertices  # the pair is drawn among `size` vertices from `base`
     out: list[tuple[int, int, int]] = []
     for _ in range(n_instants):
         t = rng.randint(0, span)
-        if block is None:
-            u = rng.randrange(n_vertices)
-            v = rng.randrange(n_vertices - 1)
-            if v >= u:
-                v += 1
-        else:
-            base = rng.randrange(n_vertices // block) * block
-            u = base + rng.randrange(block)
-            v = base + rng.randrange(block - 1)
-            if v >= u:
-                v += 1
+        base = 0 if block is None else rng.randrange(n_vertices // block) * block
+        u = base + rng.randrange(size)
+        v = base + rng.randrange(size - 1)
+        if v >= u:
+            v += 1
         out.append((t, u, v))
     return out
 

@@ -377,7 +377,15 @@ class TestErrors:
         with pytest.raises(SystemExit) as exc:
             main([command, "--k", "3", "--format", "durational", known_file])
         assert exc.value.code == 2
-        assert "unrecognized arguments: --format" in capsys.readouterr().err
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last == f"lscpm {command}: error: unrecognized arguments: --format"
+
+    def test_stray_positional_is_named(self, capsys, known_file):
+        with pytest.raises(SystemExit) as exc:
+            main(["enumerate", "--k", "3", known_file, "extra"])
+        assert exc.value.code == 2
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last == "lscpm enumerate: error: unrecognized arguments: extra"
 
 
 class TestEntryPoint:

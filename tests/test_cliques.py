@@ -302,4 +302,6 @@ class TestEnumerate:
             small.setdefault(c.vertices, []).append(c.interval)
         for big in enumerate_k_cliques(stream, 4):
             for sub in combinations(big.vertices, 3):
-                assert any(iv.contains(big.interval) for iv in small.get(sub, [])), (big, sub)
+                assert any(
+                    iv.t0 <= big.interval.t0 and big.interval.t1 <= iv.t1 for iv in small.get(sub, [])
+                ), (big, sub)

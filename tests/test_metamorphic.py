@@ -9,14 +9,21 @@ brute force cannot go.
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dense_streams, streams
+from conftest import SRC, dense_streams, streams
 
-from lscpm import Link, LinkStream, compute_communities, synthetic_stream
+from lscpm import Link, LinkStream, compute_communities, parse_links, synthetic_stream
+
+PERFBENCH = SRC.parent / "perfbench"
+if str(PERFBENCH) not in sys.path:
+    sys.path.insert(0, str(PERFBENCH))
+
+from planted import planted_contacts  # noqa: E402
 
 any_streams = st.one_of(streams(), dense_streams())
 ks = st.sampled_from([3, 4])
@@ -78,11 +85,19 @@ def test_gap_concatenation_keeps_both_halves(stream, k):
     assert image(compute_communities(both, k)) == sorted(image(once) + image(once, shift=c))
 
 
+def planted(mean_gap: float) -> LinkStream:
+    """The seed-1 stream of a planted benchmark workload: 24 groups, delta 20."""
+    text, _ = planted_contacts(1, 24, span=400 + 30 * 24, mean_gap=mean_gap)
+    return parse_links(text, format="instantaneous", delta=20)
+
+
 # Generated streams far past the oracle's limits: the default stream of
-# scripts/k_sweep.py, and the seed-1 stream of the sparse-k3 benchmark workload.
+# scripts/k_sweep.py, and the seed-1 streams of the benchmark workloads.
 LONG_STREAMS = {
     "k-sweep": lambda: synthetic_stream(60, 4000, 400, 25, 11, block=6),
     "sparse-k3": lambda: synthetic_stream(1000, 60_000, 6_000, 20, 1, block=10),
+    "planted-k4": lambda: planted(9.0),
+    "planted-nest": lambda: planted(18.0),
 }
 
 
@@ -90,6 +105,9 @@ LONG_STREAMS = {
     ("k-sweep", 3, 11),
     ("k-sweep", 4, 89),
     ("sparse-k3", 3, 817),
+    ("planted-k4", 4, 29),
+    ("planted-nest", 4, 179),
+    ("planted-nest", 5, 396),
 ])
 def test_relations_hold_on_long_streams(name, k, count):
     stream = LONG_STREAMS[name]()

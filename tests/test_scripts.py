@@ -1,6 +1,7 @@
 """Smoke tests for the runnable scripts under scripts/."""
 
 import re
+import runpy
 import subprocess
 import sys
 
@@ -19,7 +20,7 @@ def run_script(name, *args):
 
 
 def test_k_sweep_defaults():
-    # one row per k in 3..6; the script asserts nesting between neighbouring k
+    # one row per k in 3..6; the script checks nesting between neighbouring k
     proc = run_script("k_sweep.py")
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
@@ -28,11 +29,16 @@ def test_k_sweep_defaults():
     assert [line.split(",")[0] for line in lines[2:]] == ["3", "4", "5", "6"]
 
 
-def test_k_sweep_reads_instantaneous_input(tmp_path):
+def write_four_clique(tmp_path):
     # a 4-clique of instants: one clique and one community at k = 3 and 4
     path = tmp_path / "instants.txt"
     path.write_text("".join(f"0 {u} {v}\n" for u, v in
                             [("a", "b"), ("a", "c"), ("a", "d"), ("b", "c"), ("b", "d"), ("c", "d")]))
+    return path
+
+
+def test_k_sweep_reads_instantaneous_input(tmp_path):
+    path = write_four_clique(tmp_path)
     proc = run_script("k_sweep.py", str(path), "--delta", "2", "--kmax", "4")
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
@@ -46,6 +52,28 @@ def test_k_sweep_refuses_k_below_3():
     assert proc.stdout == ""
     assert proc.stderr.startswith("usage: k_sweep.py ")
     assert "argument --kmin: k must be at least 3, got 2" in proc.stderr
+
+
+def test_k_sweep_refuses_an_empty_k_range():
+    proc = run_script("k_sweep.py", "--kmin", "5", "--kmax", "3")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("usage: k_sweep.py ")
+    assert proc.stderr.splitlines()[-1] == "k_sweep.py: error: --kmin 5 is above --kmax 3"
+
+
+def test_k_sweep_reports_broken_nesting(monkeypatch, capsys, tmp_path):
+    # run in-process so the oracle's containment can be made to fail
+    path = write_four_clique(tmp_path)
+    monkeypatch.setattr("lscpm.oracle.containing_communities", lambda inner, outers: [])
+    monkeypatch.setattr(sys, "argv", ["k_sweep.py", str(path), "--delta", "2", "--kmax", "4"])
+    monkeypatch.setattr(sys, "path", sys.path[:])  # the script puts src/ in front
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(SCRIPTS / "k_sweep.py"), run_name="__main__")
+    assert exc.value.code == 1
+    out, err = capsys.readouterr()
+    assert out.splitlines()[-1].startswith("4,1,1,")
+    assert err == "error: nesting broken between k=3 and k=4\n"
 
 
 @pytest.mark.parametrize("data", [b"3 1 a b\n", b"0 5 a b\n0 5 a\xff c\n", None],
