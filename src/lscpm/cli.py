@@ -78,33 +78,22 @@ def _add_input_options(sub: argparse.ArgumentParser) -> None:
                           " (default: durational 'b e u v' lines)")
 
 
-def _add_output_option(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--output", choices=["csv", "tsv"], default=None,
-                     help="field separator for output lines (default: spaces)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="lscpm",
                                      description="Overlapping temporal communities in link streams")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("enumerate", help="list maximal k-cliques in emission order")
-    p.add_argument("--k", type=k_arg, required=True)
-    _add_input_options(p)
-    _add_output_option(p)
-    p.set_defaults(func=cmd_enumerate, parser=p)
-
-    p = sub.add_parser("communities", help="detect temporal communities")
-    p.add_argument("--k", type=k_arg, required=True)
-    _add_input_options(p)
-    _add_output_option(p)
-    p.set_defaults(func=cmd_communities, parser=p)
-
-    p = sub.add_parser("stats", help="community statistics as CSV")
-    p.add_argument("--k", type=k_arg, required=True)
-    _add_input_options(p)
-    _add_output_option(p)
-    p.set_defaults(func=cmd_stats, parser=p)
+    for name, func, help in (
+        ("enumerate", cmd_enumerate, "list maximal k-cliques in emission order"),
+        ("communities", cmd_communities, "detect temporal communities"),
+        ("stats", cmd_stats, "community statistics as CSV"),
+    ):
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--k", type=k_arg, required=True)
+        _add_input_options(p)
+        p.add_argument("--output", choices=["csv", "tsv"], default=None,
+                       help="field separator for output lines (default: spaces)")
+        p.set_defaults(func=func, parser=p)
 
     p = sub.add_parser("compare", help="compare community structure across k values")
     p.add_argument("--k1", type=k_arg, required=True)

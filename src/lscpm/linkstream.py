@@ -286,11 +286,12 @@ def apply_delta(
     """Expand instantaneous records (t, u, v) into links (t, t + delta, u, v).
 
     Records on the same pair whose expanded intervals overlap *or touch* are
-    merged into a single link over the union of the intervals, which restores
-    the pair-disjointness invariant. A pair may be given as u > v; of equal
-    times written as 5 and 5.0, the form given first is kept. ``labels``
-    defaults to each vertex id's own string. Raises ValueError for a record
-    whose end t + delta overflows to infinity.
+    merged into one link over their union (_union_spans, which materialize
+    also applies to membership spans), which restores the pair-disjointness
+    invariant. A pair may be given as u > v; of equal times written as 5 and
+    5.0, the form given first is kept. ``labels`` defaults to each vertex id's
+    own string. Raises ValueError for a record whose end t + delta overflows
+    to infinity.
     """
     if not 0 < delta < math.inf:
         raise ValueError(f"delta must be positive and finite, got {delta!r}")
@@ -306,20 +307,27 @@ def apply_delta(
         if _end_overflows(ts[-1], delta):
             raise ValueError(f"instant {ts[-1]!r} on pair ({u}, {v}) ends at a non-finite time"
                              f" with delta {delta!r}")
-        start = ts[0]
-        end = ts[0] + delta
-        for t in ts[1:]:
-            if t <= end:
-                if t + delta > end:
-                    end = t + delta
-            else:
-                links.append(Link(start, end, u, v))
-                start, end = t, t + delta
-        links.append(Link(start, end, u, v))
+        links += [Link(s, e, u, v) for s, e in _union_spans([(t, t + delta) for t in ts])]
     links.sort()  # unique links with u < v: sorted, they are the stream
     if labels is None:
         labels = {x: str(x) for x in sorted({x for pair in by_pair for x in pair})}
     return LinkStream(tuple(links), dict(labels))
+
+
+def _union_spans(spans: list[tuple[Time, Time]]) -> list[list[Time]]:
+    """Sort closed spans in place and join those that overlap or touch.
+
+    An end grows only to a strictly later one, so of 5 and 5.0 the first sorted stays.
+    """
+    spans.sort()
+    merged: list[list[Time]] = []
+    for s, e in spans:
+        if merged and s <= merged[-1][1]:  # touching spans merge too
+            if e > merged[-1][1]:
+                merged[-1][1] = e
+        else:
+            merged.append([s, e])
+    return merged
 
 
 def serialize(stream: LinkStream) -> str:

@@ -26,7 +26,7 @@ from itertools import combinations
 from typing import Iterable, Iterator
 
 from .cliques import TemporalKClique, _clique_keys
-from .linkstream import Interval, LinkStream, Time
+from .linkstream import Interval, LinkStream, Time, _union_spans
 
 __all__ = [
     "UnionFind",
@@ -210,7 +210,8 @@ def materialize(state: PercolationState) -> list[TemporalCommunity]:
                 vertex_spans.setdefault(v, []).append(span)
     communities: list[TemporalCommunity] = []
     for _, vertex_spans in sorted(spans_by_root.items()):
-        members = {v: _merge_spans(spans) for v, spans in sorted(vertex_spans.items())}
+        members = {v: tuple(Interval(s, e) for s, e in _union_spans(spans))
+                   for v, spans in sorted(vertex_spans.items())}
         communities.append(TemporalCommunity(len(communities), members))
     return communities
 
@@ -228,14 +229,3 @@ def compute_communities(stream: LinkStream, k: int) -> list[TemporalCommunity]:
     _fold(state, _clique_keys(stream, k))
     return materialize(state)
 
-
-def _merge_spans(spans: list[tuple[Time, Time]]) -> tuple[Interval, ...]:
-    spans.sort()
-    merged: list[list[Time]] = []
-    for s, e in spans:
-        if merged and s <= merged[-1][1]:  # touching spans merge too
-            if e > merged[-1][1]:
-                merged[-1][1] = e
-        else:
-            merged.append([s, e])
-    return tuple(Interval(s, e) for s, e in merged)

@@ -116,3 +116,25 @@ def dense_streams(draw) -> LinkStream:
         b = draw(st.integers(0, 4))
         links.append(Link(b, draw(st.integers(b, 12)), u, v))
     return LinkStream.from_links(links)
+
+
+@st.composite
+def wide_streams(draw) -> LinkStream:
+    """A stream of streams() or dense_streams() with its times spread over about 1e6.
+
+    Each time t maps to a * t + c. Behind a drawn flag every time gains half a
+    tick, so all are floats; otherwise about one time in four is written as the
+    float of the same value, the 5.0 form of 5.
+    """
+    stream = draw(st.one_of(streams(), dense_streams()))
+    a = draw(st.sampled_from([1, 2, 64, 997, 20000]))
+    c = draw(st.integers(-10**6, 10**6))
+    half = draw(st.booleans())
+
+    def wide(t):
+        t = a * t + c
+        if half:
+            return t + 0.5
+        return float(t) if draw(st.integers(0, 3)) == 0 else t
+
+    return LinkStream.from_links([Link(wide(ln.b), wide(ln.e), ln.u, ln.v) for ln in stream.links])

@@ -1,10 +1,11 @@
-"""Shared test utilities: canonical community forms, batch shuffles, oracles."""
+"""Shared test utilities: canonical community forms, batch shuffles, oracles, dense groups."""
 
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
-from lscpm import TemporalCommunity, TemporalKClique
+from lscpm import Link, LinkStream, TemporalCommunity, TemporalKClique
 
 
 def canon(communities: list[TemporalCommunity]) -> list:
@@ -49,3 +50,17 @@ def coverage_union(instants: list[int], delta: int) -> list[tuple[int, int]]:
         else:
             out.append((x, x))
     return [(lo // 2, hi // 2) for lo, hi in out]
+
+
+def dense_group(g: int, repeats: int) -> LinkStream:
+    """A group of g vertices with every pair linked, begins and ends staggered, repeated.
+
+    Repeat r starts at base 4g * r and links each pair (i, j) over
+    [base + (i + j) % g, base + 3g - (i * j) % g]; every link of a repeat ends
+    before the next begins.
+    """
+    return LinkStream.from_links(
+        Link(base + (i + j) % g, base + 3 * g - (i * j) % g, i, j)
+        for base in range(0, 4 * g * repeats, 4 * g)
+        for i, j in combinations(range(g), 2)
+    )

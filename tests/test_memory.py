@@ -19,7 +19,8 @@ def traced_peak(n_instants: int) -> int:
 
 
 @pytest.mark.xfail(strict=True, reason="parsed links and percolation memberships are all held"
-                   " to the end, not only the live window's: ROADMAP items 5 and 6 bound them")
+                   " to the end, not only the live window's: ROADMAP item 3, steps 2 and 3,"
+                   " bound them")
 def test_peak_memory_follows_the_live_window():
     # bounded-degree streams: the live window has the same size at both lengths
     small, big = traced_peak(10**4), traced_peak(10**5)

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import KNOWN_COMMUNITY, dense_streams, streams
-from helpers import canon, shuffle_within_batches
+from conftest import KNOWN_COMMUNITY, dense_streams, streams, wide_streams
+from helpers import canon, dense_group, shuffle_within_batches
 
 from lscpm import (
     Interval,
@@ -17,6 +17,7 @@ from lscpm import (
     enumerate_k_cliques,
     materialize,
     oracle_communities,
+    oracle_enumerate,
     parse_links,
     process_k_clique,
     run_lscpm,
@@ -261,6 +262,23 @@ class TestComputeCommunities:
         forms = {form for _, members in got for _, spans in members for span in spans
                  for form in span}
         assert {"." in form for form in forms} == {True, False}  # both forms occur
+
+    @given(wide_streams(), st.sampled_from([3, 4]))
+    @settings(max_examples=200, deadline=None)
+    def test_wide_times_match_oracle(self, stream, k):
+        # times spread over about 1e6, as half ticks or partly in the 5.0 form,
+        # so a defect tied to an absolute time grid shows
+        _, reference = oracle_communities(list(oracle_enumerate(stream, k)), k)
+        assert canon(compute_communities(stream, k)) == canon(reference)
+
+    @pytest.mark.parametrize("k, count", [(3, 240), (4, 420), (5, 504)])
+    def test_dense_group_matches_oracle(self, k, count):
+        stream = dense_group(10, 2)
+        cliques = oracle_enumerate(stream, k)
+        assert len(cliques) == count
+        assert set(enumerate_k_cliques(stream, k)) == cliques
+        _, reference = oracle_communities(list(cliques), k)
+        assert canon(compute_communities(stream, k)) == canon(reference)
 
 
 def written(communities):
