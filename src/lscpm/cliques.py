@@ -26,7 +26,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .linkstream import Interval, Link, LinkStream, Time
 
@@ -203,15 +203,17 @@ def enumerate_k_cliques(stream: LinkStream, k: int) -> Iterator[TemporalKClique]
     stream must be valid (validate(stream) == []): links that overlap on one
     pair, which from_links accepts, yield a clique once per overlapping link.
     """
-    for c, end, b in _clique_keys(stream, k):
+    for c, end, b in _clique_keys(stream.links, k):
         yield TemporalKClique(c, Interval(b, end))
 
 
-def _clique_keys(stream: LinkStream, k: int) -> Iterator[tuple[tuple[int, ...], Time, Time]]:
+def _clique_keys(links: Iterable[tuple[Time, Time, int, int]], k: int,
+                 g: WindowGraph | None = None) -> Iterator[tuple[tuple[int, ...], Time, Time]]:
     """Yield (vertices, end, begin) for every maximal k-clique, by non-decreasing begin.
 
-    Cliques sharing a begin time are buffered as these keys until the time
-    advances; each batch is then yielded in key order.
+    ``links``: any (b, e, u, v), u < v, by non-decreasing b, each added to the
+    window ``g`` before the next is drawn. Cliques sharing a begin time are
+    buffered as keys until the time advances; each batch is yielded in key order.
 
     A time may be written two ways, such as 5 and 5.0. A clique takes its
     begin from the link that completes it and its end from the first of its
@@ -220,12 +222,12 @@ def _clique_keys(stream: LinkStream, k: int) -> Iterator[tuple[tuple[int, ...], 
     """
     if k < 3:
         raise ValueError(f"k must be at least 3, got {k}")
-    g = WindowGraph()
+    g = WindowGraph() if g is None else g
     adj = g.adj
     pending: list[tuple[tuple[int, ...], Time, Time]] = []
     current_b: Time | None = None
     exact = False  # a non-integer end time has been seen
-    for link in stream.links:
+    for link in links:
         b, e, u, v = link
         if b != current_b:
             if pending:

@@ -270,6 +270,46 @@ def parse_links(text: str, format: str = "durational", delta: Time | None = None
     return LinkStream(tuple(kept), labels)
 
 
+class _Unvouched(Exception):
+    """Raised by _sorted_links on text that only parse_links may read or refuse."""
+
+
+def _sorted_links(text: str, ids: dict[str, int],
+                  live: dict[int, dict[int, Time]]) -> Iterator[tuple[int, int, int, int]]:
+    """Yield (b, e, u, v), u < v, for each line of sorted integer ``b e u v`` text as read.
+
+    Labels take ids in ``ids`` as in parse_links. ``live`` is the adjacency of
+    the WindowGraph that takes each link before the next is read; a pair it
+    lacks ended before an earlier begin. Raises _Unvouched at a CR, a line of
+    other than four fields, a time int() does not read, e < b, a self-loop, a
+    begin below the last, or a begin at or before the end of its pair's link.
+    """
+    if "\r" in text:  # parse_links also ends a line at a lone CR
+        raise _Unvouched
+    setdefault = ids.setdefault
+    prev = never = -math.inf
+    try:
+        for raw in text.split("\n"):
+            parts = raw.split()
+            if not parts:
+                continue
+            t, s, x, y = parts
+            b, e = int(t), int(s)
+            if b < prev or e < b or x == y:
+                raise _Unvouched
+            prev = b
+            u = setdefault(x, len(ids))
+            v = setdefault(y, len(ids))
+            if v < u:
+                u, v = v, u
+            nu = live.get(u)
+            if nu is not None and b <= nu.get(v, never):
+                raise _Unvouched
+            yield b, e, u, v
+    except ValueError:
+        raise _Unvouched from None
+
+
 def _end_overflows(t: Time, delta: Time) -> bool:
     """Whether t + delta overflows to infinity; so does an int too large for a float."""
     try:

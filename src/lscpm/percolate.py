@@ -226,6 +226,6 @@ def compute_communities(stream: LinkStream, k: int) -> list[TemporalCommunity]:
     A k below 3 raises ValueError from the clique search.
     """
     state = PercolationState(k=k)
-    _fold(state, _clique_keys(stream, k))
+    _fold(state, _clique_keys(stream.links, k))
     return materialize(state)
 

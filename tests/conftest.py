@@ -9,7 +9,7 @@ if str(SRC) not in sys.path:
 import pytest
 from hypothesis import strategies as st
 
-from lscpm import Link, LinkStream, apply_delta
+from lscpm import Link, LinkStream, apply_delta, serialize
 
 # Stream whose maximal 3-cliques and single community are known by hand:
 # ({c,d,e},[2,13]), ({e,f,g},[3,5]), ({d,e,f},[4,9]), ({e,f,g},[8,12]).
@@ -138,3 +138,51 @@ def wide_streams(draw) -> LinkStream:
         return float(t) if draw(st.integers(0, 3)) == 0 else t
 
     return LinkStream.from_links([Link(wide(ln.b), wide(ln.e), ln.u, ln.v) for ln in stream.links])
+
+
+# Edits of a serialized stream. Most make text that parse_links refuses, or
+# that is not sorted, integer, pairwise disjoint b e u v lines.
+TEXT_EDITS = ("none", "shuffle", "repeat", "overlap", "touch", "float-time", "comment", "crlf",
+              "lone-cr", "end-before-begin", "self-loop", "three-fields", "tab", "double-space")
+
+
+@st.composite
+def stream_texts(draw) -> str:
+    """serialize() of a stream, as it is or with one edit of TEXT_EDITS.
+
+    A repeat or an overlap goes right after its line and a touching link where
+    its begin sorts, so the text stays sorted and only the pair shows them.
+    """
+    lines = serialize(draw(st.one_of(streams(), dense_streams()))).splitlines()
+    edit = draw(st.sampled_from(TEXT_EDITS))
+    if not lines:
+        lines = ["0 1 a b"]
+    i = draw(st.integers(0, len(lines) - 1))
+    b, e, x, y = lines[i].split()
+    sep = "\n"
+    if edit == "shuffle":
+        lines = draw(st.permutations(lines))
+    elif edit == "repeat":
+        lines.insert(i + 1, lines[i])
+    elif edit == "overlap":
+        lines.insert(i + 1, f"{b} {int(e) + 1} {x} {y}")
+    elif edit == "touch":
+        j = next((j for j, ln in enumerate(lines) if int(ln.split()[0]) > int(e)), len(lines))
+        lines.insert(j, f"{e} {int(e) + 1} {x} {y}")
+    elif edit == "float-time":
+        lines[i] = f"{b} {e}.0 {x} {y}"
+    elif edit == "comment":
+        lines[i:i] = ["# note", ""]
+    elif edit == "crlf":
+        sep = "\r\n"
+    elif edit == "lone-cr":
+        lines[i] += "\r" + lines.pop(i + 1) if i + 1 < len(lines) else "\r"
+    elif edit == "end-before-begin":
+        lines.insert(i, f"{e} {int(e) - 1} {x} {y}")
+    elif edit == "self-loop":
+        lines.insert(i, f"{b} {e} {x} {x}")
+    elif edit == "three-fields":
+        lines.insert(i, f"{b} {x} {y}")
+    elif edit in ("tab", "double-space"):
+        lines[i] = ("\t" if edit == "tab" else "  ").join(lines[i].split())
+    return sep.join(lines) + sep

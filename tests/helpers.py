@@ -1,4 +1,5 @@
-"""Shared test utilities: canonical community forms, batch shuffles, oracles, dense groups."""
+"""Shared test utilities: canonical community forms, batch shuffles, oracles, dense groups,
+and a reader that sends the CLI to the whole-text parse."""
 
 from __future__ import annotations
 
@@ -6,6 +7,7 @@ import random
 from itertools import combinations
 
 from lscpm import Link, LinkStream, TemporalCommunity, TemporalKClique
+from lscpm.linkstream import _Unvouched
 
 
 def canon(communities: list[TemporalCommunity]) -> list:
@@ -64,3 +66,13 @@ def dense_group(g: int, repeats: int) -> LinkStream:
         for base in range(0, 4 * g * repeats, 4 * g)
         for i, j in combinations(range(g), 2)
     )
+
+
+def refuse(*_):
+    """A stand-in for lscpm.cli._sorted_links that vouches for nothing.
+
+    Patched in, it sends communities and stats to parse_links on the whole
+    text, the path every input took before the streamed read.
+    """
+    raise _Unvouched
+    yield

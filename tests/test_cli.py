@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import errno
 import io
@@ -7,9 +8,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import KNOWN_STREAM_TEXT, MIXED_END_TEXT, SRC
+from conftest import KNOWN_STREAM_TEXT, MIXED_END_TEXT, SRC, stream_texts
+from helpers import refuse
 
+import lscpm.cli
 from lscpm.cli import main
 from lscpm.oracle import MAX_ORACLE_VERTICES, MAX_SNAPSHOT_CLIQUES
 
@@ -140,6 +145,64 @@ class TestStats:
         path.write_text(KNOWN_STREAM_TEXT + "20 25 x y\n")
         _, out, _ = run_cli(capsys, "stats", "--k", "3", str(path))
         assert "vertex_communities,x,0" in out.splitlines()
+
+
+def parsed_whole(*_):
+    pytest.fail("the text was parsed whole")
+
+
+def run_main(argv):
+    """(exit code, stdout, stderr) of one in-process CLI run; run_cli without capsys,
+    which a Hypothesis test cannot take."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestStreamedRead:
+    @pytest.fixture(scope="class")
+    def path(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("streamed") / "input.txt"
+
+    @given(text=stream_texts(), command=st.sampled_from(["communities", "stats"]),
+           k=st.sampled_from([3, 4]))
+    @settings(max_examples=300, deadline=None)
+    def test_same_bytes_as_the_whole_text_parse(self, path, text, command, k):
+        path.write_bytes(text.encode())
+        argv = [command, "--k", str(k), str(path)]
+        streamed = run_main(argv)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lscpm.cli, "_sorted_links", refuse)
+            assert run_main(argv) == streamed
+
+    @pytest.mark.parametrize("command", ["communities", "stats"])
+    def test_sorted_integer_input_is_not_parsed_whole(self, capsys, monkeypatch, known_file,
+                                                      command):
+        with monkeypatch.context() as mp:
+            mp.setattr(lscpm.cli, "_sorted_links", refuse)
+            whole = run_cli(capsys, command, "--k", "3", known_file)
+        monkeypatch.setattr(lscpm.cli, "parse_links", parsed_whole)
+        assert run_cli(capsys, command, "--k", "3", known_file) == whole
+        assert whole[0] == 0
+
+    def test_stdin_is_streamed_as_a_file_is(self, capsys, monkeypatch):
+        monkeypatch.setattr(lscpm.cli, "parse_links", parsed_whole)
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(KNOWN_STREAM_TEXT.encode())))
+        assert run_cli(capsys, "communities", "--k", "3", "-") == (0, KNOWN_COMMUNITY_OUTPUT, "")
+
+    def test_lone_cr_ends_a_line(self, capsys, tmp_path):
+        path = tmp_path / "cr.txt"
+        path.write_bytes(b"0 5\ra b\n")
+        assert run_cli(capsys, "communities", "--k", "3", str(path)) == \
+            (1, "", "error: line 1: expected 'b e u v', got 2 fields\n")
+
+    def test_repeated_line_is_dropped(self, capsys, tmp_path):
+        path = tmp_path / "repeat.txt"
+        lines = KNOWN_STREAM_TEXT.splitlines(keepends=True)
+        path.write_text("".join(lines[:3] + lines[2:]))
+        assert run_cli(capsys, "communities", "--k", "3", str(path)) == \
+            (0, KNOWN_COMMUNITY_OUTPUT, "")
 
 
 class TestCompare:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import streams
+from conftest import stream_texts, streams
 from helpers import coverage_union
 
 from lscpm import (
@@ -17,6 +17,8 @@ from lscpm import (
     serialize,
     validate,
 )
+from lscpm.cliques import WindowGraph
+from lscpm.linkstream import _sorted_links, _Unvouched
 
 
 class TestInterval:
@@ -348,6 +350,63 @@ class TestValidate:
 
     def test_valid_stream_is_clean(self, known_stream):
         assert validate(known_stream) == []
+
+
+def streamed_read(text):
+    """(labels, links) of _sorted_links on text, each link added to a window before the next."""
+    ids, g, links = {}, WindowGraph(), []
+    for link in _sorted_links(text, ids, g.adj):
+        g.expire(link[0])
+        g.add(link)
+        links.append(Link(*link))
+    return {i: label for label, i in ids.items()}, links
+
+
+class TestSortedLinks:
+    @given(stream_texts())
+    @settings(max_examples=400, deadline=None)
+    def test_vouches_only_for_what_parse_links_reads_the_same(self, text):
+        # text it reads to the end, parse_links reads without error into the same links
+        try:
+            labels, links = streamed_read(text)
+        except _Unvouched:
+            return
+        stream = parse_links(text)
+        assert labels == stream.labels
+        assert tuple(sorted(links)) == stream.links
+
+    @pytest.mark.parametrize("text", [
+        "0 5 a b\r\n",
+        "0 5 a b\n0 5 a b\n",
+        "0 5 a b\n1 6 a b\n",
+        "0 5 a b\n2 3 c d\n5 6 a b\n",
+        "0 5.0 a b\n",
+        "# note\n0 5 a b\n",
+        "5 0 a b\n",
+        "0 5 a a\n",
+        "0 a b\n",
+        "1 5 a b\n0 5 a c\n",
+    ], ids=["cr", "repeat", "overlap", "touch", "float-form", "comment", "end-before-begin",
+            "self-loop", "three-fields", "unsorted"])
+    def test_refuses_what_parse_links_must_judge(self, text):
+        with pytest.raises(_Unvouched):
+            streamed_read(text)
+
+    def test_pair_may_begin_again_after_its_end(self):
+        # at 6 the link a-b ending at 5 is still in the window: the window drops it
+        # only once time 6 is reached, after the reader has checked the new one
+        text = "0 5 a b\n2 3 c d\n6 9 a b\n\n"
+        assert streamed_read(text) == ({0: "a", 1: "b", 2: "c", 3: "d"},
+                                       [(0, 5, 0, 1), (2, 3, 2, 3), (6, 9, 0, 1)])
+
+    @given(streams())
+    @settings(max_examples=100, deadline=None)
+    def test_serialized_stream_is_read_to_the_end(self, stream):
+        text = serialize(stream)
+        labels, links = streamed_read(text)
+        parsed = parse_links(text)
+        assert labels == parsed.labels
+        assert tuple(sorted(links)) == parsed.links
 
 
 class TestRoundTrip:

@@ -125,6 +125,12 @@ def test_cli_digest_lists_one_digest_per_run(tmp_path, known_text):
         digests = {line.split("  ", 1)[1]: line.split("  ", 1)[0] for line in lines}
         for k in (3, 4, 5):
             assert digests[f"communities --k {k} - < {p}"] == digests[f"communities --k {k} {p}"]
+            # derived copies: the lines reversed, and the opening slice within the oracle's reach
+            assert f"stats --k {k} reversed({p})" in digests
+            assert f"oracle --k {k} slice({p})" in digests
+    # both files fit the oracle whole, so the slice is the file: its begins 1, 3 and 8
+    assert any(line.endswith(f"  compare --k1 3 --snapshot-times 1,3,8 slice({path})")
+               for line in lines)
 
 
 def test_scaling_experiment_small_sizes():
@@ -146,3 +152,6 @@ def test_cli_digest_passes_delta(tmp_path):
         assert re.match(r"^[0-9a-f]{64}  \S", line), line
         assert " --delta 2 " in line, line
     assert sum(line.endswith(f" --delta 2 - < {path}") for line in on_file) == 3
+    # instants are never streamed, so they get no reversed copy
+    assert not any("reversed(" in line for line in proc.stdout.splitlines())
+    assert sum(line.endswith(f" --delta 2 slice({path})") for line in proc.stdout.splitlines()) == 6
