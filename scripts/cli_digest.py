@@ -17,9 +17,10 @@ what one listing covers:
   search as it is read, and reversed input takes the whole-text parse.
 - ``slice(path)``: at most 200 lines among at most 20 vertices around the
   first link (see oracle_slice), within the oracle's limits, for oracle and
-  compare at the slice's first, middle and last begin times. On the whole
-  file those runs check nothing once it passes the limits: they digest the
-  oracle's refusal, or an empty result where little is alive at 0, 4.5 and 9.
+  compare at snapshot times inside the slice's cliques (see clique_times).
+  On the whole file those runs check nothing once it passes the limits: they
+  digest the oracle's refusal, or an empty result where little is alive at
+  0, 4.5 and 9.
 To compare a change with its parent, run the script of each checkout on the
 same paths and diff the two listings:
 
@@ -57,12 +58,17 @@ GENERATE = (
 Run = tuple[list[str], str | None, str]  # CLI arguments, a file for stdin, the listed form
 
 
-def digest(args: list[str], stdin: str | None = None) -> str:
-    """sha256 over the stdout, stderr and exit code of one CLI run."""
+def cli(args: list[str], stdin: str | None = None) -> subprocess.CompletedProcess:
+    """One run of this checkout's CLI, stdout and stderr captured as bytes."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     data = None if stdin is None else Path(stdin).read_bytes()
-    run = subprocess.run([sys.executable, "-m", "lscpm", *args], input=data,
-                         capture_output=True, env=env)
+    return subprocess.run([sys.executable, "-m", "lscpm", *args], input=data,
+                          capture_output=True, env=env)
+
+
+def digest(args: list[str], stdin: str | None = None) -> str:
+    """sha256 over the stdout, stderr and exit code of one CLI run."""
+    run = cli(args, stdin)
     h = hashlib.sha256()
     for part in (run.stdout, b"\0stderr\0", run.stderr, b"\0exit\0", str(run.returncode).encode()):
         h.update(part)
@@ -118,6 +124,27 @@ def oracle_slice(path: str) -> tuple[list[str], list[str]]:
     return kept, [line.split()[0] for line in kept]
 
 
+def clique_times(cmd: list[str]) -> str | None:
+    """The midpoints of the first, middle and last cliques an oracle run lists, or None.
+
+    A clique has positive length, so at its midpoint its k vertices are
+    pairwise linked and the snapshot holds a community. None when the run
+    fails or lists no clique.
+    """
+    run = cli(cmd)
+    if run.returncode != 0:
+        return None
+    listing = run.stdout.decode().split("# communities\n")[0].splitlines()[1:]  # after "# cliques"
+    if not listing:
+        return None
+    mids = []
+    for line in (listing[0], listing[len(listing) // 2], listing[-1]):
+        t0, t1 = line.split()[:2]
+        mid = (float(t0) + float(t1)) / 2
+        mids.append(str(int(mid)) if mid.is_integer() else repr(mid))
+    return ",".join(dict.fromkeys(mids))
+
+
 def derived_runs(path: str, delta: str | None, stem: Path) -> list[Run]:
     """Runs on the reversed copy (durational input only) and on the oracle slice.
 
@@ -137,10 +164,11 @@ def derived_runs(path: str, delta: str | None, stem: Path) -> list[Run]:
         return out
     part = stem.with_suffix(".slice")
     part.write_text("\n".join(kept) + "\n", encoding="utf-8")
-    at = ",".join([times[0], times[len(times) // 2], times[-1]])
+    begins = ",".join([times[0], times[len(times) // 2], times[-1]])
     for k in KS:
-        for cmd in (["oracle", "--k", str(k), *extra],
-                    ["compare", "--k1", str(k), "--snapshot-times", at, *extra]):
+        oracle = ["oracle", "--k", str(k), *extra]
+        at = clique_times([*oracle, str(part)]) or begins
+        for cmd in (oracle, ["compare", "--k1", str(k), "--snapshot-times", at, *extra]):
             out.append(([*cmd, str(part)], None, " ".join([*cmd, f"slice({path})"])))
     return out
 

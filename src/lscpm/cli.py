@@ -12,10 +12,11 @@ Input is UTF-8 text, a file or standard input (``-``) read the same way. Lines
 are durational ``b e u v``, or instantaneous ``t u v`` when ``--delta`` gives
 each instant its duration. communities and stats hand durational lines to the
 clique search as they are read, with no link list built or sorted, which cuts
-their peak memory about threefold. At the first line this read cannot vouch
-for (a time int() does not read, a begin below the last, a CR, an overlap, a
-repeat, any error) they parse the whole text as the other commands do, which
-words every error; input sorted up to its last line pays for both reads.
+their peak memory about threefold. Where the reader (at a CR, other than four
+fields, a time int() does not read, e < b, a self-loop) or the search (at an
+unsorted begin, an overlap, touch or repeat on a pair) refuses a line, they
+parse the whole text as the other commands do, which words every error; input
+sorted up to its last line pays for both reads.
 
 Exit codes: 0 ok, 1 unreadable or invalid input or unwritable output, 2 usage error.
 Output is deterministic: identical input and flags give identical bytes.
@@ -30,12 +31,11 @@ import sys
 from pathlib import Path
 from typing import Callable, Iterable, Sequence, TextIO
 
-from .cliques import TemporalKClique, WindowGraph, _clique_keys, enumerate_k_cliques
-from .linkstream import (LinkStream, ParseError, Time, _parse_time, _sorted_links, _Unvouched,
-                         apply_delta, parse_links, serialize)
+from .cliques import TemporalKClique, enumerate_k_cliques
+from .linkstream import (LinkStream, ParseError, Time, _parse_time, _sorted_links, apply_delta,
+                         parse_links, serialize)
 from .oracle import compare_communities, oracle_communities, oracle_enumerate, snapshot_cpm
-from .percolate import (PercolationState, TemporalCommunity, _fold, compute_communities,
-                        materialize)
+from .percolate import TemporalCommunity, _communities, compute_communities
 from .synth import random_instants
 
 
@@ -138,19 +138,18 @@ def read_stream(path: str, delta: Time | None) -> LinkStream:
 
 def _read_communities(args: argparse.Namespace) -> tuple[dict[int, str], list[TemporalCommunity]]:
     """The label table and the communities at args.k: streamed if it can be, as said above."""
-    if args.delta is not None:
+    if args.delta is None:
+        text = _read_text(args.input)  # outside the try: a read or UTF-8 error is final
+        ids: dict[str, int] = {}
+        try:
+            communities = _communities(_sorted_links(text, ids), args.k)
+            return {i: label for label, i in ids.items()}, communities
+        except ValueError:
+            ids.clear()  # before the batch parse, which needs more room
+        # after the except block, whose traceback holds the failed fold's state
+        stream = parse_links(text)
+    else:
         stream = read_stream(args.input, args.delta)
-        return stream.labels, compute_communities(stream, args.k)
-    text = _read_text(args.input)
-    ids: dict[str, int] = {}
-    g = WindowGraph()
-    state = PercolationState(k=args.k)
-    try:
-        _fold(state, _clique_keys(_sorted_links(text, ids, g.adj), args.k, g))
-        return {i: label for label, i in ids.items()}, materialize(state)
-    except _Unvouched:
-        del ids, g, state  # before the batch parse, which needs more room
-    stream = parse_links(text)
     return stream.labels, compute_communities(stream, args.k)
 
 

@@ -11,9 +11,10 @@ set C becomes the temporal clique (C, [b, min end time over the edges of C]).
 The search carries that end time as the clique grows and drops a branch as
 soon as its end is <= b, so candidates of zero length never form (a clique
 needs a strictly positive interval). A maximal clique begins when the last of
-its links begins, so on a valid stream (pairs disjoint, links a set) the link
-that completes it finds it exactly once: the output is exactly the set of
-maximal k-cliques, emitted by non-decreasing start time.
+its links begins, so with the links sorted and disjoint on each pair (the pass
+raises ValueError at the first link that is not), the link that completes it
+finds it exactly once: the output is exactly the set of maximal k-cliques,
+emitted by non-decreasing start time.
 
 The search hands each clique on as a plain (vertices, end, begin) tuple;
 compute_communities folds those tuples directly. A TemporalKClique is built
@@ -199,21 +200,24 @@ def enumerate_k_cliques(stream: LinkStream, k: int) -> Iterator[TemporalKClique]
     """Yield every maximal k-clique of the stream, by non-decreasing start time.
 
     Wraps each (vertices, end, begin) key of _clique_keys into a
-    TemporalKClique; compute_communities folds the keys themselves. The
-    stream must be valid (validate(stream) == []): links that overlap on one
-    pair, which from_links accepts, yield a clique once per overlapping link.
+    TemporalKClique; compute_communities folds the keys themselves. Raises
+    ValueError, after the cliques that begin earlier, at the first link that
+    validate() would report as unsorted or as a pair-overlap.
     """
     for c, end, b in _clique_keys(stream.links, k):
         yield TemporalKClique(c, Interval(b, end))
 
 
-def _clique_keys(links: Iterable[tuple[Time, Time, int, int]], k: int,
-                 g: WindowGraph | None = None) -> Iterator[tuple[tuple[int, ...], Time, Time]]:
+def _clique_keys(links: Iterable[tuple[Time, Time, int, int]],
+                 k: int) -> Iterator[tuple[tuple[int, ...], Time, Time]]:
     """Yield (vertices, end, begin) for every maximal k-clique, by non-decreasing begin.
 
-    ``links``: any (b, e, u, v), u < v, by non-decreasing b, each added to the
-    window ``g`` before the next is drawn. Cliques sharing a begin time are
-    buffered as keys until the time advances; each batch is yielded in key order.
+    ``links``: any (b, e, u, v), u < v, drawn one at a time. Cliques sharing a
+    begin time are buffered as keys until the time advances; each batch is
+    yielded in key order. Raises ValueError at a begin below the previous one
+    and at a link whose pair is still in the window once the edges ending
+    before its begin are dropped, as its previous link overlaps, touches or
+    repeats it: the rules of parse_links and validate().
 
     A time may be written two ways, such as 5 and 5.0. A clique takes its
     begin from the link that completes it and its end from the first of its
@@ -222,7 +226,7 @@ def _clique_keys(links: Iterable[tuple[Time, Time, int, int]], k: int,
     """
     if k < 3:
         raise ValueError(f"k must be at least 3, got {k}")
-    g = WindowGraph() if g is None else g
+    g = WindowGraph()
     adj = g.adj
     pending: list[tuple[tuple[int, ...], Time, Time]] = []
     current_b: Time | None = None
@@ -230,6 +234,8 @@ def _clique_keys(links: Iterable[tuple[Time, Time, int, int]], k: int,
     for link in links:
         b, e, u, v = link
         if b != current_b:
+            if current_b is not None and b < current_b:
+                raise ValueError(f"link {link!r} begins before {current_b!r}: links must be sorted")
             if pending:
                 yield from sorted(pending)
                 pending.clear()
@@ -238,6 +244,9 @@ def _clique_keys(links: Iterable[tuple[Time, Time, int, int]], k: int,
             g.expire(b)
         # an endpoint with no other live neighbor closes no clique
         linked = u in adj and v in adj
+        if linked and v in adj[u]:
+            raise ValueError(f"link {link!r} begins at or before {adj[u][v]!r}, the end of the"
+                             " previous link on its pair: links on a pair must be disjoint")
         g.add(link)
         if e <= b:
             # a zero-duration link cannot support a positive-length clique

@@ -98,8 +98,9 @@ class LinkStream:
         Links form a set: an exact repeat is kept once, as parse_links keeps a
         repeated line once. Times compare by value, so a link written with 5
         and again with 5.0 is one link, in the form it was first given.
-        Nothing else is checked: links that overlap on one pair are kept, so
-        run validate() before handing the stream to enumerate_k_cliques.
+        Nothing else is checked: links that overlap on one pair are kept, and
+        enumerate_k_cliques and compute_communities raise ValueError on them;
+        validate() reports every such pair.
         """
         ordered = sorted(ln if ln.u <= ln.v else Link(ln.b, ln.e, ln.v, ln.u) for ln in links)
         ordered = tuple(ln for ln, _ in groupby(ordered))  # the first of each run of repeats
@@ -270,44 +271,30 @@ def parse_links(text: str, format: str = "durational", delta: Time | None = None
     return LinkStream(tuple(kept), labels)
 
 
-class _Unvouched(Exception):
-    """Raised by _sorted_links on text that only parse_links may read or refuse."""
+def _sorted_links(text: str, ids: dict[str, int]) -> Iterator[tuple[int, int, int, int]]:
+    """Yield (b, e, u, v), u < v, for each line of integer ``b e u v`` text as it is read.
 
-
-def _sorted_links(text: str, ids: dict[str, int],
-                  live: dict[int, dict[int, Time]]) -> Iterator[tuple[int, int, int, int]]:
-    """Yield (b, e, u, v), u < v, for each line of sorted integer ``b e u v`` text as read.
-
-    Labels take ids in ``ids`` as in parse_links. ``live`` is the adjacency of
-    the WindowGraph that takes each link before the next is read; a pair it
-    lacks ended before an earlier begin. Raises _Unvouched at a CR, a line of
-    other than four fields, a time int() does not read, e < b, a self-loop, a
-    begin below the last, or a begin at or before the end of its pair's link.
+    Labels take ids in ``ids`` as in parse_links. Raises ValueError at a CR, a
+    line of other than four fields, a time int() does not read, e < b or a
+    self-loop: text that only parse_links may read or refuse. Begin order and
+    pair disjointness are left to the clique search that draws the links.
     """
     if "\r" in text:  # parse_links also ends a line at a lone CR
-        raise _Unvouched
+        raise ValueError("a CR in the text")
     setdefault = ids.setdefault
-    prev = never = -math.inf
-    try:
-        for raw in text.split("\n"):
-            parts = raw.split()
-            if not parts:
-                continue
-            t, s, x, y = parts
-            b, e = int(t), int(s)
-            if b < prev or e < b or x == y:
-                raise _Unvouched
-            prev = b
-            u = setdefault(x, len(ids))
-            v = setdefault(y, len(ids))
-            if v < u:
-                u, v = v, u
-            nu = live.get(u)
-            if nu is not None and b <= nu.get(v, never):
-                raise _Unvouched
-            yield b, e, u, v
-    except ValueError:
-        raise _Unvouched from None
+    for raw in text.split("\n"):
+        parts = raw.split()
+        if not parts:
+            continue
+        t, s, x, y = parts
+        b, e = int(t), int(s)
+        if e < b or x == y:
+            raise ValueError(f"link {raw!r} ends before it begins or loops")
+        u = setdefault(x, len(ids))
+        v = setdefault(y, len(ids))
+        if v < u:
+            u, v = v, u
+        yield b, e, u, v
 
 
 def _end_overflows(t: Time, delta: Time) -> bool:

@@ -221,11 +221,13 @@ def compute_communities(stream: LinkStream, k: int) -> list[TemporalCommunity]:
 
     Folds the search's (vertices, end, begin) tuples as they come, with no
     TemporalKClique built; equal to
-    materialize(run_lscpm(enumerate_k_cliques(stream, k), k)). Like
-    enumerate_k_cliques, it requires a valid stream (validate(stream) == []).
-    A k below 3 raises ValueError from the clique search.
+    materialize(run_lscpm(enumerate_k_cliques(stream, k), k)), errors included.
     """
-    state = PercolationState(k=k)
-    _fold(state, _clique_keys(stream.links, k))
-    return materialize(state)
+    return _communities(stream.links, k)
 
+
+def _communities(links: Iterable[tuple[Time, Time, int, int]], k: int) -> list[TemporalCommunity]:
+    """compute_communities on any (b, e, u, v) links, u < v, drawn one at a time."""
+    state = PercolationState(k=k)
+    _fold(state, _clique_keys(links, k))
+    return materialize(state)

@@ -14,10 +14,26 @@ from lscpm import (
     TemporalKClique,
     WindowGraph,
     cliques_containing_edge,
+    compute_communities,
     enumerate_k_cliques,
     parse_links,
+    validate,
 )
 from lscpm.oracle import can_end_later, can_start_earlier, is_clique, oracle_enumerate, pair_spans
+
+
+@st.composite
+def loose_streams(draw) -> LinkStream:
+    """Links on a few pairs that may overlap, sorted by from_links or left as drawn."""
+    n = draw(st.integers(2, 5))
+    links = []
+    for _ in range(draw(st.integers(0, 12))):
+        u, v = sorted(draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)))
+        b = draw(st.integers(0, 20))
+        links.append(Link(b, b + draw(st.integers(0, 6)), u, v))
+    if draw(st.booleans()):
+        return LinkStream.from_links(links)
+    return LinkStream(tuple(links), {x: str(x) for x in range(n)})
 
 
 def window_with(*links):
@@ -219,18 +235,39 @@ class TestEnumerate:
         assert got == [TemporalKClique((0, 1, 2), Interval(0, 7))]
 
     def test_overlapping_links_sharing_an_end(self):
-        # from_links keeps both links on (0, 1); both end at 5, so expiry
-        # meets the pair twice in one bucket
+        # from_links keeps both links on (0, 1); the second begins while the first is live
         stream = LinkStream.from_links([Link(0, 5, 0, 1), Link(3, 5, 0, 1), Link(7, 9, 2, 3)])
-        assert list(enumerate_k_cliques(stream, 3)) == []
+        with pytest.raises(ValueError, match="links on a pair must be disjoint"):
+            list(enumerate_k_cliques(stream, 3))
 
     def test_overlapping_links_yield_a_clique_each(self):
+        # the cliques found before the overlapping link at 3 are yielded, then it is refused
         stream = LinkStream.from_links([Link(0, 5, 0, 1), Link(3, 5, 0, 1), Link(0, 9, 0, 2),
                                         Link(0, 9, 1, 2), Link(7, 9, 0, 1)])
-        got = list(enumerate_k_cliques(stream, 3))
-        assert got == [TemporalKClique((0, 1, 2), Interval(0, 5)),
-                       TemporalKClique((0, 1, 2), Interval(3, 5)),
-                       TemporalKClique((0, 1, 2), Interval(7, 9))]
+        got = []
+        with pytest.raises(ValueError, match="links on a pair must be disjoint"):
+            got.extend(enumerate_k_cliques(stream, 3))
+        assert got == [TemporalKClique((0, 1, 2), Interval(0, 5))]
+        with pytest.raises(ValueError, match="links on a pair must be disjoint"):
+            compute_communities(stream, 3)
+
+    def test_unsorted_links_refused(self):
+        stream = LinkStream((Link(1, 5, 0, 1), Link(0, 5, 0, 2)), {0: "a", 1: "b", 2: "c"})
+        with pytest.raises(ValueError, match="links must be sorted"):
+            list(enumerate_k_cliques(stream, 3))
+
+    @given(st.one_of(loose_streams(), streams()), st.integers(3, 5))
+    @settings(max_examples=200, deadline=None)
+    def test_refuses_exactly_what_validate_reports_unsorted_or_overlapping(self, stream, k):
+        kinds = {v.kind for v in validate(stream)}
+        assert kinds <= {"pair-overlap", "unsorted"}
+        for run in (lambda: list(enumerate_k_cliques(stream, k)),
+                    lambda: compute_communities(stream, k)):
+            if kinds:
+                with pytest.raises(ValueError):
+                    run()
+            else:
+                run()
 
     def test_float_end_of_link_with_new_endpoint_keeps_its_form(self):
         # a-c arrives when c has no other neighbor and closes nothing, but its

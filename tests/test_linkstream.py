@@ -17,8 +17,8 @@ from lscpm import (
     serialize,
     validate,
 )
-from lscpm.cliques import WindowGraph
-from lscpm.linkstream import _sorted_links, _Unvouched
+from lscpm.cliques import _clique_keys
+from lscpm.linkstream import _sorted_links
 
 
 class TestInterval:
@@ -352,13 +352,24 @@ class TestValidate:
         assert validate(known_stream) == []
 
 
+def read_alone(text):
+    """(labels, links) of _sorted_links on text."""
+    ids = {}
+    links = [Link(*link) for link in _sorted_links(text, ids)]
+    return {i: label for label, i in ids.items()}, links
+
+
 def streamed_read(text):
-    """(labels, links) of _sorted_links on text, each link added to a window before the next."""
-    ids, g, links = {}, WindowGraph(), []
-    for link in _sorted_links(text, ids, g.adj):
-        g.expire(link[0])
-        g.add(link)
-        links.append(Link(*link))
+    """(labels, links) of _sorted_links on text, each link drawn by the clique search."""
+    ids, links = {}, []
+
+    def read():
+        for link in _sorted_links(text, ids):
+            links.append(Link(*link))
+            yield link
+
+    for _ in _clique_keys(read(), 3):
+        pass
     return {i: label for label, i in ids.items()}, links
 
 
@@ -366,10 +377,11 @@ class TestSortedLinks:
     @given(stream_texts())
     @settings(max_examples=400, deadline=None)
     def test_vouches_only_for_what_parse_links_reads_the_same(self, text):
-        # text it reads to the end, parse_links reads without error into the same links
+        # text the reader and the search read to the end, parse_links reads
+        # without error into the same links
         try:
             labels, links = streamed_read(text)
-        except _Unvouched:
+        except ValueError:
             return
         stream = parse_links(text)
         assert labels == stream.labels
@@ -377,24 +389,30 @@ class TestSortedLinks:
 
     @pytest.mark.parametrize("text", [
         "0 5 a b\r\n",
-        "0 5 a b\n0 5 a b\n",
-        "0 5 a b\n1 6 a b\n",
-        "0 5 a b\n2 3 c d\n5 6 a b\n",
         "0 5.0 a b\n",
         "# note\n0 5 a b\n",
         "5 0 a b\n",
         "0 5 a a\n",
         "0 a b\n",
-        "1 5 a b\n0 5 a c\n",
-    ], ids=["cr", "repeat", "overlap", "touch", "float-form", "comment", "end-before-begin",
-            "self-loop", "three-fields", "unsorted"])
+    ], ids=["cr", "float-form", "comment", "end-before-begin", "self-loop", "three-fields"])
     def test_refuses_what_parse_links_must_judge(self, text):
-        with pytest.raises(_Unvouched):
+        with pytest.raises(ValueError):
+            read_alone(text)
+
+    @pytest.mark.parametrize("text", [
+        "0 5 a b\n0 5 a b\n",
+        "0 5 a b\n1 6 a b\n",
+        "0 5 a b\n2 3 c d\n5 6 a b\n",
+        "1 5 a b\n0 5 a c\n",
+    ], ids=["repeat", "overlap", "touch", "unsorted"])
+    def test_search_refuses_what_the_reader_reads(self, text):
+        # the reader checks each line alone; begin order and pair overlap are the search's
+        read_alone(text)
+        with pytest.raises(ValueError):
             streamed_read(text)
 
     def test_pair_may_begin_again_after_its_end(self):
-        # at 6 the link a-b ending at 5 is still in the window: the window drops it
-        # only once time 6 is reached, after the reader has checked the new one
+        # at 6 the search drops the link a-b ending at 5 before it checks the new one
         text = "0 5 a b\n2 3 c d\n6 9 a b\n\n"
         assert streamed_read(text) == ({0: "a", 1: "b", 2: "c", 3: "d"},
                                        [(0, 5, 0, 1), (2, 3, 2, 3), (6, 9, 0, 1)])

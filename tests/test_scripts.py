@@ -128,8 +128,13 @@ def test_cli_digest_lists_one_digest_per_run(tmp_path, known_text):
             # derived copies: the lines reversed, and the opening slice within the oracle's reach
             assert f"stats --k {k} reversed({p})" in digests
             assert f"oracle --k {k} slice({p})" in digests
-    # both files fit the oracle whole, so the slice is the file: its begins 1, 3 and 8
-    assert any(line.endswith(f"  compare --k1 3 --snapshot-times 1,3,8 slice({path})")
+    # both files fit the oracle whole, so the slice is the file. At k = 3 the
+    # snapshot times are the midpoints of its first, middle and last cliques,
+    # [2, 13], [4, 9] and [8, 12]; at k = 4 it has no clique, so they are its
+    # begins 1, 3 and 8
+    assert any(line.endswith(f"  compare --k1 3 --snapshot-times 7.5,6.5,10 slice({path})")
+               for line in lines)
+    assert any(line.endswith(f"  compare --k1 4 --snapshot-times 1,3,8 slice({path})")
                for line in lines)
 
 
