@@ -6,7 +6,9 @@ share, and the edges ending before a new begin time are dropped once per
 distinct begin time, from one bucket of pairs per end time. Each incoming link
 (b, e, u, v) with a live neighbor at both ends triggers a static k-clique search
 around {u, v}: one recursion in increasing vertex id, the same for every k,
-lists the (k - 2)-cliques among the common neighbors of u and v. A found vertex
+lists the (k - 2)-cliques among the common neighbors of u and v. Its last
+level closes cliques in place: for k >= 4 each linked pair of remaining
+candidates completes one clique without a further call. A found vertex
 set C becomes the temporal clique (C, [b, min end time over the edges of C]).
 The search carries that end time as the clique grows and drops a branch as
 soon as its end is <= b, so candidates of zero length never form (a clique
@@ -172,7 +174,10 @@ def _grow(adj: dict[int, dict[int, Time]], group: tuple[int, ...], cand: list[tu
     `end` is the end of group and each candidate carries the end of its edges
     to group. Each step takes a vertex and keeps only its neighbors of higher
     id as the next candidates, so every clique is built once, in increasing id
-    order. With one vertex left to add, each candidate closes one clique.
+    order. With one vertex left to add, each candidate closes one clique. With
+    two left, each linked pair of candidates closes one in place, without the
+    call a one-vertex level would cost; k = 3 enters at one vertex, every
+    larger k ends at two.
     """
     if need == 1:
         for x, ex in cand:
@@ -183,6 +188,18 @@ def _grow(adj: dict[int, dict[int, Time]], group: tuple[int, ...], cand: list[tu
         if ex > end:
             ex = end
         nx = adj[x]
+        gx = group + (x,)
+        if need == 2:
+            for y, ey in cand[i + 1:]:
+                exy = nx.get(y)
+                if exy is None:
+                    continue
+                if exy < ey:
+                    if exy <= b:
+                        continue
+                    ey = exy
+                found.append((tuple(sorted(gx + (y,))), ex if ey > ex else ey, b))
+            continue
         nxt = []
         for y, ey in cand[i + 1:]:
             exy = nx.get(y)
@@ -193,7 +210,7 @@ def _grow(adj: dict[int, dict[int, Time]], group: tuple[int, ...], cand: list[tu
                     continue
                 ey = exy
             nxt.append((y, ey))
-        _grow(adj, group + (x,), nxt, need - 1, ex, b, found)
+        _grow(adj, gx, nxt, need - 1, ex, b, found)
 
 
 def enumerate_k_cliques(stream: LinkStream, k: int) -> Iterator[TemporalKClique]:

@@ -9,6 +9,13 @@ of every subset whose latest membership strictly overlaps the clique interval
 live membership get a fresh entry. Materializing resolves every node to its
 root once and unions the member vertices' presence intervals.
 
+The fold and materialize walk the union-find's parent list in place rather
+than calling its methods: on dense contact groups the fold runs once per
+k-clique subset, and a method call with its bounds check cost more than the
+find it wraps. Both keep UnionFind's two rules, path-halving finds and the
+larger root linked under the smaller, so node ids and roots are the ones the
+methods would give, and every node's parent is at most the node itself.
+
 compute_communities chains the stages in one chronological pass: cliques are
 folded as enumeration yields them, so the full clique set is never held. The
 search hands each clique to the fold as a plain (vertices, end, begin) tuple;
@@ -45,7 +52,12 @@ class UnionFind:
 
     Node ids are dense integers handed out by make_set in creation order.
     Linking the larger root under the smaller, with path halving, keeps find
-    amortized logarithmic (Tarjan & van Leeuwen 1984) without ranks.
+    amortized logarithmic (Tarjan & van Leeuwen 1984) without ranks. Under
+    both rules a node's parent is never larger than the node.
+
+    _fold and materialize read and write _parent directly with these same
+    two rules, to save a method call per find on their hot loops; a change to
+    either rule here must be made there too.
     """
 
     __slots__ = ("_parent",)
@@ -135,42 +147,55 @@ def _fold(state: PercolationState, cliques: Iterable[tuple[tuple[int, ...], Time
     reversed lexicographic order. `root` is the root of the clique's community
     once one is known: the first live subset's root or the node made for the
     first lapsed one. Later live subsets are united with it when their roots
-    differ; both arguments are roots then, so union's finds return at once.
+    differ: both are roots then, so the union is one parent write.
+
+    The loop walks state.uf's parent list in place with UnionFind's rules
+    (see the module docstring for why): a path-halving find, the larger root
+    linked under the smaller, and make_set as an append. The ids it reads are
+    nodes the fold made, so they need no bounds check. last_start is kept in a
+    local and written back even when a ValueError stops the fold, so it names
+    the last clique folded.
     """
     k = state.k
-    uf = state.uf
-    find = uf.find
-    union = uf.union
-    make_set = uf.make_set
+    parent = state.uf._parent
     memberships = state.memberships
-    for verts, t1, t0 in cliques:
-        if len(verts) != k:
-            raise ValueError(f"expected a {k}-clique, got {len(verts)} vertices")
-        if t0 < state.last_start:
-            raise ValueError(f"clique starting at {t0!r} arrived after start {state.last_start!r}")
-        state.last_start = t0
-        root = -1
-        for key in reversed(list(combinations(verts, k - 1))):
-            entries = memberships.get(key)
-            if entries is not None and t0 < entries[-1].end:
-                # still in that community: extend the membership and merge
-                last = entries[-1]
-                if t1 > last.end:
-                    last.end = t1
-                r = find(last.node)
-                if root == -1:
-                    root = r
-                elif r != root:
-                    root = union(root, r)
-            else:
-                # not yet, or no longer, in any community: open a new membership
-                if root == -1:
-                    root = make_set()
-                entry = Membership(root, t0, t1)
-                if entries is None:
-                    memberships[key] = [entry]
+    last_start = state.last_start
+    try:
+        for verts, t1, t0 in cliques:
+            if len(verts) != k:
+                raise ValueError(f"expected a {k}-clique, got {len(verts)} vertices")
+            if t0 < last_start:
+                raise ValueError(f"clique starting at {t0!r} arrived after start {last_start!r}")
+            last_start = t0
+            root = -1
+            for key in reversed(list(combinations(verts, k - 1))):
+                entries = memberships.get(key)
+                if entries is not None and t0 < entries[-1].end:
+                    # still in that community: extend the membership and merge
+                    last = entries[-1]
+                    if t1 > last.end:
+                        last.end = t1
+                    r = last.node
+                    while parent[r] != r:  # find, halving the path
+                        parent[r] = r = parent[parent[r]]
+                    if root == -1:
+                        root = r
+                    elif r < root:  # union: the larger root goes under the smaller
+                        parent[root] = root = r
+                    elif r > root:
+                        parent[r] = root
                 else:
-                    entries.append(entry)
+                    # not yet, or no longer, in any community: open a new membership
+                    if root == -1:
+                        root = len(parent)  # make_set
+                        parent.append(root)
+                    entry = Membership(root, t0, t1)
+                    if entries is None:
+                        memberships[key] = [entry]
+                    else:
+                        entries.append(entry)
+    finally:
+        state.last_start = last_start
 
 
 @dataclass(frozen=True)
@@ -198,16 +223,30 @@ def materialize(state: PercolationState) -> list[TemporalCommunity]:
     intervals are then unioned, merging overlapping or touching spans.
     Communities are labeled 0..c-1 in order of their root, which is the
     smallest node id of the set: creation order, following clique start times.
+
+    Roots are resolved in one pass over the union-find's parent list in id
+    order, without a find per node: a parent is never larger than its node, so
+    its root is known by the time the node is reached. The state is not
+    changed.
     """
-    uf = state.uf
-    roots = [uf.find(node) for node in range(len(uf))]
+    parent = state.uf._parent
+    roots = parent.copy()
+    for x in range(len(roots)):
+        roots[x] = roots[parent[x]]  # parent[x] <= x, so that entry already holds a root
     spans_by_root: dict[int, dict[int, list[tuple[Time, Time]]]] = {}
     for key, entries in state.memberships.items():
         for m in entries:
-            vertex_spans = spans_by_root.setdefault(roots[m.node], {})
+            root = roots[m.node]
+            vertex_spans = spans_by_root.get(root)
+            if vertex_spans is None:
+                vertex_spans = spans_by_root[root] = {}
             span = (m.start, m.end)  # one tuple for all of the key's vertices
             for v in key:
-                vertex_spans.setdefault(v, []).append(span)
+                spans = vertex_spans.get(v)
+                if spans is None:
+                    vertex_spans[v] = [span]
+                else:
+                    spans.append(span)
     communities: list[TemporalCommunity] = []
     for _, vertex_spans in sorted(spans_by_root.items()):
         members = {v: tuple(Interval(s, e) for s, e in _union_spans(spans))

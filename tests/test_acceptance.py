@@ -245,36 +245,46 @@ def test_criterion_6_maximality_and_dedup(corpus, corpus_cliques):
 
 def test_criterion_7_near_linear_scaling():
     """End-to-end time on bounded-degree synthetic streams grows by at most
-    15x from 1e5 to 1e6 instantaneous records at k = 3."""
-    failures = []
+    15x from 1e5 to 1e6 instantaneous records at k = 3.
 
-    def solve(n_instants):
-        stream = synthetic_stream(
-            n_vertices=1000, n_instants=n_instants, span=n_instants // 10,
-            delta=20, seed=7, block=10,
-        )
+    Each size is timed in CPU seconds as the minimum over repeated solves, so
+    one stall on a shared host does not set the ratio. In each of three rounds
+    the 1e5 solve is repeated until the 1e5 solves total another third of a
+    second, then the 1e6 solve runs once, so a slow stretch falls on both
+    sizes."""
+    failures = []
+    small, big = 10**5, 10**6
+    streams = {
+        n: synthetic_stream(n_vertices=1000, n_instants=n, span=n // 10, delta=20, seed=7, block=10)
+        for n in (small, big)
+    }
+    times = {n: [] for n in streams}
+    found = {}
+
+    def solve(n):
         gc.collect()
         gc.disable()
         try:
-            begin = time.perf_counter()
-            communities = compute_communities(stream, 3)
-            elapsed = time.perf_counter() - begin
+            begin = time.process_time()
+            found[n] = len(compute_communities(streams[n], 3))
+            times[n].append(time.process_time() - begin)
         finally:
             gc.enable()
-        return elapsed, len(stream.links), len(communities)
 
-    small_time, small_links, small_comms = solve(10**5)
-    big_time, big_links, big_comms = solve(10**6)
-    ratio = big_time / small_time
-    if small_comms == 0 or big_comms == 0:
+    for rounds in (1, 2, 3):
+        while sum(times[small]) < rounds / 3:
+            solve(small)
+        solve(big)
+    ratio = min(times[big]) / min(times[small])
+    if found[small] == 0 or found[big] == 0:
         failures.append("scaling streams produced no communities")
     if ratio > 15.0:
         failures.append(f"time grew {ratio:.1f}x for 10x more links (limit 15x)")
     report(
         "criterion 7: near-linear scaling",
         failures,
-        f"{small_links} links in {small_time:.2f}s, {big_links} links in {big_time:.2f}s,"
-        f" ratio {ratio:.1f}x",
+        ", ".join(f"{len(streams[n].links)} links in {min(times[n]):.2f}s (min of {len(times[n])})"
+                  for n in (small, big)) + f", ratio {ratio:.1f}x",
     )
 
 

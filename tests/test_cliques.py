@@ -19,6 +19,7 @@ from lscpm import (
     parse_links,
     validate,
 )
+from lscpm.cliques import _search
 from lscpm.oracle import can_end_later, can_start_earlier, is_clique, oracle_enumerate, pair_spans
 
 
@@ -191,6 +192,18 @@ class TestCliquesContainingEdge:
             if all(y in g.adj[x] for x, y in combinations(rest, 2))
         )
         assert sorted(got) == want
+        # with finite edge ends and a finite cut-off b < e, as enumeration runs
+        # the search: each clique ends at the earliest of e and its other edges'
+        # ends, and exactly the cliques ending after b come out
+        ends = {p: rng.randint(1, 20) for p in pairs}
+        g = window_with(*(Link(0, ends[p], *p) for p in pairs))
+        b = rng.randint(0, 12)
+        e = rng.randint(b + 1, 20)
+        timed = [(c, min([e] + [ends[p] for p in combinations(c, 2) if p != (u, v)]), b)
+                 for c in want]
+        found = _search(g, u, v, k, e, b)
+        assert sorted(found) == [t for t in timed if t[1] > b]
+        assert sorted(_search(g, v, u, k, e, b)) == sorted(found)
 
 
 class TestEnumerate:

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +23,7 @@ from lscpm import (
     process_k_clique,
     run_lscpm,
 )
+from lscpm.percolate import _fold, _keys
 
 
 def kc(vertices, t0, t1):
@@ -78,7 +80,10 @@ class TestUnionFind:
             low = min(label[p], label[q])
             label = [low if x in (label[p], label[q]) else x for x in label]
             assert uf.union(p, q) == low
+            # materialize resolves every root in one pass in id order on this rule
+            assert all(uf._parent[x] <= x for x in range(n))
         assert [uf.find(x) for x in range(n)] == label
+        assert all(uf._parent[x] <= x for x in range(n))
 
     def test_unknown_id_rejected(self):
         uf = UnionFind()
@@ -281,6 +286,69 @@ class TestComputeCommunities:
         assert canon(compute_communities(stream, k)) == canon(reference)
 
 
+@st.composite
+def clique_runs(draw):
+    """(k, cliques): chronological cliques with equal-start batches on few
+    vertices, so subsets recur, memberships lapse and communities merge. One
+    clique of the wrong size or with an earlier start may be put in."""
+    k = draw(st.sampled_from([3, 4, 5]))
+    n = draw(st.integers(k + 1, k + 3))
+    starts = sorted(draw(st.lists(st.integers(0, 12), max_size=25)))
+    cliques = [kc(draw(st.sets(st.integers(0, n - 1), min_size=k, max_size=k)),
+                  t0, t0 + draw(st.integers(1, 6))) for t0 in starts]
+    pos = draw(st.integers(0, len(cliques)))
+    t0 = starts[pos - 1] if pos else 0
+    bad = draw(st.sampled_from([None, "size", "order"]))
+    if bad == "size":
+        size = draw(st.sampled_from([k - 1, k + 1]))
+        cliques.insert(pos, kc(range(size), t0, t0 + 3))
+    elif bad == "order":
+        cliques.insert(pos, kc(range(k), t0 - 1, t0 + 3))
+    return k, cliques
+
+
+def reference_fold(cliques, k):
+    """The fold written with UnionFind's public methods, memberships as triples.
+
+    Returns the view() of the state it ends in and the ValueError that stopped
+    it, or None."""
+    uf = UnionFind()
+    memberships = {}
+    last_start = float("-inf")
+    error = None
+    try:
+        for c in cliques:
+            t0, t1 = c.interval.t0, c.interval.t1
+            if len(c.vertices) != k or t0 < last_start:
+                raise ValueError(c)
+            last_start = t0
+            root = None
+            for key in reversed(list(combinations(c.vertices, k - 1))):
+                entries = memberships.get(key)
+                if entries and t0 < entries[-1][2]:
+                    node, start, end = entries[-1]
+                    entries[-1] = (node, start, max(end, t1))
+                    root = uf.find(node) if root is None else uf.union(root, node)
+                else:
+                    if root is None:
+                        root = uf.make_set()
+                    memberships.setdefault(key, []).append((root, t0, t1))
+    except ValueError as exc:
+        error = exc
+    return view(uf, memberships, last_start), error
+
+
+def view(uf, memberships, last_start):
+    """Node count, every node's root, (node, start, end) memberships, last start."""
+    return len(uf), [uf.find(x) for x in range(len(uf))], memberships, last_start
+
+
+def state_view(state):
+    memberships = {key: [(m.node, m.start, m.end) for m in entries]
+                   for key, entries in state.memberships.items()}
+    return view(state.uf, memberships, state.last_start)
+
+
 def written(communities):
     """Ids, members in order and each span's endpoints as written (5 is not 5.0)."""
     return [(c.id, [(v, [(repr(iv.t0), repr(iv.t1)) for iv in spans])
@@ -331,6 +399,24 @@ class TestProperties:
             key: resolved(whole, key) for key in whole.memberships
         }
         assert materialize(stepped) == materialize(whole)
+
+    @given(clique_runs())
+    @settings(max_examples=150, deadline=None)
+    def test_fold_matches_reference_fold(self, run):
+        k, cliques = run
+        reference, error = reference_fold(cliques, k)
+        if error is None:
+            assert state_view(run_lscpm(cliques, k)) == reference
+        # also when a bad clique stops the fold, the state and last_start are
+        # those after the last clique folded
+        state = PercolationState(k=k)
+        try:
+            _fold(state, _keys(cliques))
+        except ValueError:
+            assert error is not None
+        else:
+            assert error is None
+        assert state_view(state) == reference
 
     @given(streams(), st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
