@@ -9,6 +9,13 @@ of every subset whose latest membership strictly overlaps the clique interval
 live membership get a fresh entry. Materializing resolves every node to its
 root once and unions the member vertices' presence intervals.
 
+A clique's subsets are folded in the order itertools.combinations yields them.
+Node ids and counts depend on that order: a lapsed subset met before any live
+one gets a fresh node, which a later live subset unites away. Communities and
+their ids do not: no membership's span or community changes, and the smallest
+node of a community, by which materialize labels it, is made by its earliest
+clique, which has no live subset in any order.
+
 The fold and materialize walk the union-find's parent list in place rather
 than calling its methods: on dense contact groups the fold runs once per
 k-clique subset, and a method call with its bounds check cost more than the
@@ -143,11 +150,12 @@ def _keys(cliques: Iterable[TemporalKClique]) -> Iterator[tuple[tuple[int, ...],
 def _fold(state: PercolationState, cliques: Iterable[tuple[tuple[int, ...], Time, Time]]) -> None:
     """Fold (vertices, end, begin) cliques into state, checking size and start order first.
 
-    Subsets are visited by dropping vertex 0, 1, ..., k - 1 in turn, which is
-    reversed lexicographic order. `root` is the root of the clique's community
-    once one is known: the first live subset's root or the node made for the
-    first lapsed one. Later live subsets are united with it when their roots
-    differ: both are roots then, so the union is one parent write.
+    Subsets are visited in combinations order, lexicographic in the sorted
+    vertices; the module docstring says why communities do not depend on it.
+    `root` is the root of the clique's community once one is known: the first
+    live subset's root or the node made for the first lapsed one. Later live
+    subsets are united with it when their roots differ: both are roots then, so
+    the union is one parent write.
 
     The loop walks state.uf's parent list in place with UnionFind's rules
     (see the module docstring for why): a path-halving find, the larger root
@@ -168,7 +176,7 @@ def _fold(state: PercolationState, cliques: Iterable[tuple[tuple[int, ...], Time
                 raise ValueError(f"clique starting at {t0!r} arrived after start {last_start!r}")
             last_start = t0
             root = -1
-            for key in reversed(list(combinations(verts, k - 1))):
+            for key in combinations(verts, k - 1):
                 entries = memberships.get(key)
                 if entries is not None and t0 < entries[-1].end:
                     # still in that community: extend the membership and merge

@@ -1,4 +1,4 @@
-"""Peak memory of a whole run against stream length (ROADMAP item 3)."""
+"""Peak memory of a whole run against stream length (ROADMAP item 2)."""
 
 import os
 import sys
@@ -28,7 +28,7 @@ def traced_peak(n_instants: int) -> int:
 
 
 @pytest.mark.xfail(strict=True, reason="parsed links and percolation memberships are all held"
-                   " to the end, not only the live window's: ROADMAP item 3, steps 2 and 3,"
+                   " to the end, not only the live window's: ROADMAP item 2, steps A and B,"
                    " bound them")
 def test_peak_memory_follows_the_live_window():
     # bounded-degree streams: the live window has the same size at both lengths

@@ -7,10 +7,12 @@ from hypothesis import strategies as st
 
 from conftest import KNOWN_COMMUNITY, dense_streams, streams, wide_streams
 from helpers import canon, dense_group, shuffle_within_batches
+from test_metamorphic import LONG_STREAMS
 
 from lscpm import (
     Interval,
     LinkStream,
+    Membership,
     PercolationState,
     TemporalKClique,
     UnionFind,
@@ -22,6 +24,8 @@ from lscpm import (
     parse_links,
     process_k_clique,
     run_lscpm,
+    serialize,
+    synthetic_stream,
 )
 from lscpm.percolate import _fold, _keys
 
@@ -145,8 +149,9 @@ class TestPercolationTrace:
         assert resolved(state, (3, 4)) == [(root, 3, 5)]
 
         process_k_clique(state, TRACE[3])
-        # one membership extended, two re-appended after having lapsed
-        assert len(state.uf) == 3
+        # one membership extended, two re-appended after having lapsed; the
+        # live (e,f) subset comes first, so the lapsed ones take its root
+        assert len(state.uf) == 2
         assert state.uf.find(root) == state.uf.find(state.memberships[2, 4][-1].node)
         assert resolved(state, (2, 3)) == [(root, 3, 12)]
         assert resolved(state, (2, 4)) == [(root, 3, 5), (root, 8, 12)]
@@ -307,11 +312,29 @@ def clique_runs(draw):
     return k, cliques
 
 
-def reference_fold(cliques, k):
+def reversed_combinations(vertices, r):
+    return reversed(list(combinations(vertices, r)))
+
+
+def shuffled(seed):
+    """Each clique's subsets in an order drawn anew per clique from one seeded generator."""
+    rng = random.Random(seed)
+
+    def order(vertices, r):
+        keys = list(combinations(vertices, r))
+        rng.shuffle(keys)
+        return keys
+
+    return order
+
+
+def reference_fold(cliques, k, subsets=combinations):
     """The fold written with UnionFind's public methods, memberships as triples.
 
-    Returns the view() of the state it ends in and the ValueError that stopped
-    it, or None."""
+    subsets(vertices, k - 1) gives a clique's subsets in the order they are
+    visited, as combinations does for _fold. Returns the union-find, the
+    memberships, the last start and the ValueError that stopped the fold, or
+    None."""
     uf = UnionFind()
     memberships = {}
     last_start = float("-inf")
@@ -323,7 +346,7 @@ def reference_fold(cliques, k):
                 raise ValueError(c)
             last_start = t0
             root = None
-            for key in reversed(list(combinations(c.vertices, k - 1))):
+            for key in subsets(c.vertices, k - 1):
                 entries = memberships.get(key)
                 if entries and t0 < entries[-1][2]:
                     node, start, end = entries[-1]
@@ -335,7 +358,7 @@ def reference_fold(cliques, k):
                     memberships.setdefault(key, []).append((root, t0, t1))
     except ValueError as exc:
         error = exc
-    return view(uf, memberships, last_start), error
+    return uf, memberships, last_start, error
 
 
 def view(uf, memberships, last_start):
@@ -404,7 +427,8 @@ class TestProperties:
     @settings(max_examples=150, deadline=None)
     def test_fold_matches_reference_fold(self, run):
         k, cliques = run
-        reference, error = reference_fold(cliques, k)
+        *reference, error = reference_fold(cliques, k)
+        reference = view(*reference)
         if error is None:
             assert state_view(run_lscpm(cliques, k)) == reference
         # also when a bad clique stops the fold, the state and last_start are
@@ -425,3 +449,71 @@ class TestProperties:
         base = canon(materialize(run_lscpm(cliques, 3)))
         shuffled = shuffle_within_batches(cliques, random.Random(seed))
         assert canon(materialize(run_lscpm(shuffled, 3))) == base
+
+
+def labelled(cliques, k, subsets):
+    """Node count and [(id, canonical())] of the communities reference_fold reaches
+    in that subset order."""
+    uf, memberships, _, error = reference_fold(cliques, k, subsets)
+    assert error is None
+    state = PercolationState(k=k)
+    state.uf = uf
+    state.memberships = {key: [Membership(*m) for m in entries]
+                         for key, entries in memberships.items()}
+    return len(uf), [(c.id, c.canonical()) for c in materialize(state)]
+
+
+class TestSubsetOrder:
+    """Communities and their ids, and so CLI bytes, do not depend on subset order."""
+
+    @given(st.one_of(streams(), dense_streams()), st.sampled_from([3, 4, 5]),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_communities_do_not_depend_on_subset_order(self, stream, k, seed):
+        cliques = list(enumerate_k_cliques(stream, k))
+        _, fold = labelled(cliques, k, combinations)
+        assert fold == [(c.id, c.canonical()) for c in compute_communities(stream, k)]
+        assert labelled(cliques, k, reversed_combinations)[1] == fold
+        assert labelled(cliques, k, shuffled(seed))[1] == fold
+
+    @pytest.mark.parametrize("name, k", [("planted-k4", 4), ("dense-group", 4)])
+    def test_long_streams(self, name, k):
+        cliques = list(enumerate_k_cliques(LONG_STREAMS[name](), k))
+        nodes, fold = labelled(cliques, k, combinations)
+        reversed_nodes, reversed_fold = labelled(cliques, k, reversed_combinations)
+        assert reversed_fold == fold
+        assert labelled(cliques, k, shuffled(k))[1] == fold
+        assert reversed_nodes > nodes  # the orders do reach different union-finds
+
+
+def counters(stream, ks):
+    """emitted, nodes, unions, memberships, subsets, communities, summed over ks."""
+    total = [0] * 6
+    for k in ks:
+        cliques = list(enumerate_k_cliques(stream, k))
+        state = run_lscpm(cliques, k)
+        nodes = len(state.uf)
+        counts = (len(cliques), nodes, nodes - len({state.uf.find(x) for x in range(nodes)}),
+                  sum(map(len, state.memberships.values())), len(state.memberships),
+                  len(materialize(state)))
+        total = [a + b for a, b in zip(total, counts)]
+    return tuple(total)
+
+
+# ks and the counters of each seed-1 benchmark workload
+BENCHMARK_COUNTERS = {
+    "sparse-k3": ((3,), (841, 833, 16, 2499, 1875, 817)),
+    "planted-k4": ((4,), (34423, 755, 726, 16717, 2962, 29)),
+    "planted-nest": ((4, 5), (16865, 4092, 3517, 27287, 7215, 575)),
+}
+
+
+@pytest.mark.parametrize("name", BENCHMARK_COUNTERS)
+def test_benchmark_stream_counters(name):
+    # the seed-1 benchmark streams, built as the benchmark builds them
+    ks, expected = BENCHMARK_COUNTERS[name]
+    if name == "sparse-k3":
+        stream = parse_links(serialize(synthetic_stream(1000, 60_000, 6_000, 20, 1, block=10)))
+    else:
+        stream = LONG_STREAMS[name]()
+    assert counters(stream, ks) == expected
