@@ -9,12 +9,14 @@ and oracle, for k = 3, 4 and 5, plus two fixed generate runs. Each line
 reads ``<sha256>  <arguments>``; the digest covers stdout, stderr and the
 exit code.
 
-Two derived copies of each file, written to a temporary directory, widen
-what one listing covers:
+Derived copies of each file, written to a temporary directory, widen what
+one listing covers:
 
-- ``reversed(path)``: the lines in reverse order, for communities and stats.
-  Only without --delta: sorted durational input streams into the clique
-  search as it is read, and reversed input takes the whole-text parse.
+- ``reversed(path)``, ``crlf(path)`` and ``commented(path)``: the lines in
+  reverse order, with CRLF line ends, and after a ``# b e u v`` first line,
+  for communities and stats. Only without --delta: sorted durational input
+  streams into the clique search as it is read, and reversed input takes the
+  whole-text parse; CRLF and commented copies stream as the file does.
 - ``slice(path)``: at most 200 lines among at most 20 vertices around the
   first link (see oracle_slice), within the oracle's limits, for oracle and
   compare at snapshot times inside the slice's cliques (see clique_times).
@@ -146,19 +148,25 @@ def clique_times(cmd: list[str]) -> str | None:
 
 
 def derived_runs(path: str, delta: str | None, stem: Path) -> list[Run]:
-    """Runs on the reversed copy (durational input only) and on the oracle slice.
+    """Runs on the reversed, CRLF and commented copies (durational input only) and on
+    the oracle slice.
 
     The copies are written next to ``stem``, a path unique to this input.
     """
     extra = [] if delta is None else ["--delta", delta]
     out: list[Run] = []
     if delta is None:
-        flipped = stem.with_suffix(".reversed")
-        flipped.write_text("\n".join(reversed(lines_of(path))) + "\n", encoding="utf-8")
-        for k in KS:
-            for command in ("communities", "stats"):
-                cmd = [command, "--k", str(k)]
-                out.append(([*cmd, str(flipped)], None, " ".join([*cmd, f"reversed({path})"])))
+        lines = lines_of(path)
+        copies = {"reversed": "\n".join(reversed(lines)) + "\n",
+                  "crlf": "\r\n".join(lines),
+                  "commented": "\n".join(["# b e u v", *lines])}
+        for name, text in copies.items():
+            copy = stem.with_suffix(f".{name}")
+            copy.write_bytes(text.encode("utf-8"))
+            for k in KS:
+                for command in ("communities", "stats"):
+                    cmd = [command, "--k", str(k)]
+                    out.append(([*cmd, str(copy)], None, " ".join([*cmd, f"{name}({path})"])))
     kept, times = oracle_slice(path)
     if not times:
         return out

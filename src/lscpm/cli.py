@@ -11,12 +11,11 @@ Subcommands:
 Input is UTF-8 text, a file or standard input (``-``) read the same way. Lines
 are durational ``b e u v``, or instantaneous ``t u v`` when ``--delta`` gives
 each instant its duration. communities and stats hand durational lines to the
-clique search as they are read, with no link list built or sorted, which cuts
-their peak memory about threefold. Where the reader (at a CR, other than four
-fields, a time int() does not read, e < b, a self-loop) or the search (at an
-unsorted begin, an overlap, touch or repeat on a pair) refuses a line, they
-parse the whole text as the other commands do, which words every error; input
-sorted up to its last line pays for both reads.
+clique search as parse_links' own reader reads them, with no link list built
+or sorted, which cuts their peak memory about twofold. Where a line breaks a
+per-line rule, or the search refuses it (an unsorted begin, an overlap, touch
+or repeat on a pair), they parse the whole text as the other commands do,
+which words every error; input sorted up to its last line pays for both reads.
 
 Exit codes: 0 ok, 1 unreadable or invalid input or unwritable output, 2 usage error.
 Output is deterministic: identical input and flags give identical bytes.
@@ -32,7 +31,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Sequence, TextIO
 
 from .cliques import TemporalKClique, enumerate_k_cliques
-from .linkstream import (LinkStream, ParseError, Time, _parse_time, _sorted_links, apply_delta,
+from .linkstream import (LinkStream, ParseError, Time, _parse_time, _read_links, apply_delta,
                          parse_links, serialize)
 from .oracle import compare_communities, oracle_communities, oracle_enumerate, snapshot_cpm
 from .percolate import TemporalCommunity, _communities, compute_communities
@@ -142,7 +141,7 @@ def _read_communities(args: argparse.Namespace) -> tuple[dict[int, str], list[Te
         text = _read_text(args.input)  # outside the try: a read or UTF-8 error is final
         ids: dict[str, int] = {}
         try:
-            communities = _communities(_sorted_links(text, ids), args.k)
+            communities = _communities(_read_links(text, ids), args.k)
             return {i: label for label, i in ids.items()}, communities
         except ValueError:
             ids.clear()  # before the batch parse, which needs more room

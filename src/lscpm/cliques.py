@@ -55,7 +55,7 @@ class WindowGraph:
     ``adj`` maps each vertex to a dict from each live neighbor to the end of
     the link they share, so one lookup answers both "linked?" and "until
     when?"; a vertex with no live neighbor has no entry. Expiry keeps one
-    bucket of pairs per distinct end time and a heap of those end times, so
+    bucket of links per distinct end time and a heap of those end times, so
     the heap is touched once per end time, not once per link. A bucket entry
     whose pair was re-added with another end, or already dropped, is stale
     and skipped.
@@ -65,7 +65,7 @@ class WindowGraph:
 
     def __init__(self):
         self.adj: dict[int, dict[int, Time]] = {}
-        self._buckets: dict[Time, list[tuple[int, int]]] = {}
+        self._buckets: dict[Time, list[Link]] = {}
         self._ends: list[Time] = []  # heap of the keys of _buckets
         self._live = 0
 
@@ -90,10 +90,10 @@ class WindowGraph:
             nv[u] = e
         bucket = self._buckets.get(e)
         if bucket is None:
-            self._buckets[e] = [(u, v)]
+            self._buckets[e] = [link]
             heapq.heappush(self._ends, e)
         else:
-            bucket.append((u, v))
+            bucket.append(link)
 
     def expire(self, b: Time) -> None:
         """Drop every edge ending strictly before b; an edge ending at b survives."""
@@ -102,7 +102,7 @@ class WindowGraph:
         adj = self.adj
         while ends and ends[0] < b:
             e = heapq.heappop(ends)
-            for u, v in buckets.pop(e):
+            for _, _, u, v in buckets.pop(e):
                 nu = adj.get(u)
                 if nu is None or nu.get(v) != e:
                     continue  # dropped already, or superseded by a later link on the pair
@@ -237,9 +237,12 @@ def _clique_keys(links: Iterable[tuple[Time, Time, int, int]],
     repeats it: the rules of parse_links and validate().
 
     A time may be written two ways, such as 5 and 5.0. A clique takes its
-    begin from the link that completes it and its end from the first of its
-    edges, in vertex-id order, that ends then. The search carries ends by
-    value, so that edge is looked up once a non-integer end has been seen.
+    begin from its last link in (b, e, u, v) order, the link that completes
+    it when the links come sorted, and its end from the first of its edges,
+    in vertex-id order, that ends then. The search carries times by value, so
+    that edge is looked up once a non-integer end has been seen, and that
+    link while the current begin is written in two forms: links that begin
+    together may come in any order.
     """
     if k < 3:
         raise ValueError(f"k must be at least 3, got {k}")
@@ -257,8 +260,12 @@ def _clique_keys(links: Iterable[tuple[Time, Time, int, int]],
                 yield from sorted(pending)
                 pending.clear()
             current_b = b
+            # b is written two ways in this batch; 0.0 and -0.0 share a type, so count them now
+            mixed = b == 0 and type(b) is float
             # a link never ends before it begins, so none of time b's links expire at b
             g.expire(b)
+        elif not mixed and type(b) is not type(current_b):
+            mixed = True
         # an endpoint with no other live neighbor closes no clique
         linked = u in adj and v in adj
         if linked and v in adj[u]:
@@ -275,8 +282,9 @@ def _clique_keys(links: Iterable[tuple[Time, Time, int, int]],
         # a clique whose end is <= b dies the moment this link begins
         found = _search(g, u, v, k, e, b)
         if found:
-            if exact:
-                found = [(c, _first_end(adj, c, end), b) for c, end, _ in found]
+            if exact or mixed:
+                found = [(c, _first_end(adj, c, end) if exact else end,
+                          _last_begin(g, c) if mixed else b) for c, end, _ in found]
             pending += found
     yield from sorted(pending)
 
@@ -284,3 +292,9 @@ def _clique_keys(links: Iterable[tuple[Time, Time, int, int]],
 def _first_end(adj: dict[int, dict[int, Time]], c: tuple[int, ...], end: Time) -> Time:
     """end as written on the first edge of c, in vertex-id order, that ends then."""
     return next(adj[x][y] for x, y in combinations(c, 2) if adj[x][y] == end)
+
+
+def _last_begin(g: WindowGraph, c: tuple[int, ...]) -> Time:
+    """b as written on the last edge of c in (b, e, u, v) order, found in its end's bucket."""
+    return max(next(ln for ln in g._buckets[g.adj[x][y]] if ln[2] == x and ln[3] == y)
+               for x, y in combinations(c, 2))[0]

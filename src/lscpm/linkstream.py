@@ -178,16 +178,17 @@ def validate(stream: LinkStream) -> list[Violation]:
 
 def _parse_time(token: str, line: int | None = None) -> Time:
     """Read an integer tick or a finite float; ``line`` numbers the error."""
-    try:
-        return int(token)
-    except ValueError:
-        pass
+    if "." not in token:  # int() reads no token with a point, so spare it the exception
+        try:
+            return int(token)
+        except ValueError:
+            pass
     try:
         t = float(token)
     except ValueError:
         raise ParseError(f"bad time value {token!r}", line) from None
-    if not math.isfinite(t):
-        raise ParseError(f"non-finite time value {token!r}", line)
+    if not math.isfinite(t):  # from None: _read_links calls this while handling int()'s error
+        raise ParseError(f"non-finite time value {token!r}", line) from None
     return t
 
 
@@ -196,105 +197,100 @@ def parse_links(text: str, format: str = "durational", delta: Time | None = None
 
     Durational lines are ``b e u v`` and take no ``delta``; instantaneous
     lines are ``t u v`` and require ``delta``, the uniform duration given to
-    each instant (handled by :func:`apply_delta`). One line loop reads both:
-    fields split at whitespace, blank and ``#`` comment lines are skipped, and
-    external labels map to dense vertex ids in order of first appearance.
-    Raises ValueError up front for an unknown format or a delta given with
-    durational input. Raises ParseError with the offending line number on
-    malformed input or a broken invariant, such as an instant whose end
-    t + delta overflows; a missing delta is reported after every line is read.
+    each instant (handled by :func:`apply_delta`). One reader, _read_links,
+    reads both and holds every per-line rule. Raises ValueError up front for an
+    unknown format or a delta given with durational input. Raises ParseError
+    with the offending line number on malformed input or a broken invariant,
+    such as an instant whose end t + delta overflows or two links that overlap
+    on a pair; a missing delta is reported after every line is read.
     """
     if format not in ("durational", "instantaneous"):
         raise ValueError(f"unknown format {format!r}")
     instant = format == "instantaneous"
     if delta is not None and not instant:
         raise ValueError(f"durational input takes no delta, got {delta!r}")
-    width, shape = (3, "'t u v'") if instant else (4, "'b e u v'")
-    bounded = instant and delta is not None and 0 < delta < math.inf
     ids: dict[str, int] = {}
-    instants: list[tuple[Time, int, int]] = []
-    entries: list[tuple[Link, int]] = []
-    # Split at LF, CRLF and CR only, as open() does: splitlines() would also split
-    # at form feeds and Unicode separators, which can sit inside a comment. The
-    # line list stays unnamed, so it is freed with the loop, before the sort below.
-    for lineno, raw in enumerate(text.replace("\r\n", "\n").replace("\r", "\n").split("\n"), 1):
-        parts = raw.split()
-        if not parts or parts[0].startswith("#"):
-            continue
-        if len(parts) != width:
-            raise ParseError(f"expected {shape}, got {len(parts)} fields", lineno)
-        if instant:
-            t, x, y = parts
-            b = _parse_time(t, lineno)
-            if bounded and _end_overflows(b, delta):
-                raise ParseError(f"non-finite end time: {t} + {delta!r} overflows", lineno)
-        else:
-            t, s, x, y = parts
-            b = _parse_time(t, lineno)
-            e = _parse_time(s, lineno)
-            if e < b:
-                raise ParseError(f"link ends at {s} before it begins at {t}", lineno)
-        if x == y:
-            raise ParseError(f"self-loop on vertex {x!r}", lineno)
-        u = ids.setdefault(x, len(ids))
-        v = ids.setdefault(y, len(ids))
-        if v < u:
-            u, v = v, u
-        if instant:
-            instants.append((b, u, v))
-        else:
-            entries.append((Link(b, e, u, v), lineno))
-    labels = {i: lab for lab, i in ids.items()}
     if instant:
+        instants = list(_read_links(text, ids, True, delta))
         if delta is None:
             raise ParseError("instantaneous input requires a positive delta")
-        return apply_delta(instants, delta, labels)
+        return apply_delta(instants, delta, {i: lab for lab, i in ids.items()})
+    links = list(map(Link._make, _read_links(text, ids)))
+    labels = {i: lab for lab, i in ids.items()}
 
-    # One sort orders the links chronologically and, per pair, by (b, e), so a
-    # single pass against the last kept link of each pair finds every overlap.
-    entries.sort()
-    last: dict[tuple[int, int], tuple[Link, int]] = {}
+    # One stable sort orders the links chronologically and, per pair, by (b, e),
+    # so a single pass against the last kept link of each pair finds every
+    # overlap; of links equal by value, such as 5 and 5.0, the first written stays.
+    links.sort()
+    last: dict[tuple[int, int], Link] = {}
     kept: list[Link] = []
-    for link, lineno in entries:
-        prev = last.get(link.pair)
+    for link in links:
+        b, e, u, v = link
+        prev = last.get((u, v))
         if prev is not None:
-            if link == prev[0]:
+            if link == prev:
                 continue  # repeated identical line: links form a set
-            if link.b <= prev[0].e:
-                raise ParseError(
-                    f"links on pair ({labels[link.u]}, {labels[link.v]}) overlap"
-                    f" (lines {prev[1]} and {lineno})",
-                    lineno,
-                )
+            if b <= prev.e:
+                # name each link by the first line that reads equal to it: the sort kept that one
+                linenos: dict[tuple[Time, Time, int, int], int] = {}
+                for _ in _read_links(text, {}, linenos=linenos):
+                    pass
+                raise ParseError(f"links on pair ({labels[u]}, {labels[v]}) overlap"
+                                 f" (lines {linenos[prev]} and {linenos[link]})", linenos[link])
         kept.append(link)
-        last[link.pair] = (link, lineno)
+        last[u, v] = link
     return LinkStream(tuple(kept), labels)
 
 
-def _sorted_links(text: str, ids: dict[str, int]) -> Iterator[tuple[int, int, int, int]]:
-    """Yield (b, e, u, v), u < v, for each line of integer ``b e u v`` text as it is read.
+def _read_links(text: str, ids: dict[str, int], instant: bool = False, delta: Time | None = None,
+                linenos: dict[tuple, int] | None = None) -> Iterator[tuple]:
+    """Yield each line of text as it is read: (b, e, u, v), or (t, u, v) if ``instant``.
 
-    Labels take ids in ``ids`` as in parse_links. Raises ValueError at a CR, a
-    line of other than four fields, a time int() does not read, e < b or a
-    self-loop: text that only parse_links may read or refuse. Begin order and
-    pair disjointness are left to the clique search that draws the links.
+    Lines split at LF, CRLF and CR; fields split at whitespace; blank and
+    ``#`` comment lines are skipped. Labels take ids in ``ids`` in order of
+    first appearance, and each yielded pair has u < v. ``linenos``, when
+    given, maps each durational (b, e, u, v) to the first line that reads
+    equal to it. Raises ParseError with the line number at a wrong field
+    count, a bad or non-finite time, e < b, an instant whose end t + delta
+    overflows (with a positive finite ``delta``) or a self-loop. Begin order
+    and pair disjointness are left to the caller.
     """
-    if "\r" in text:  # parse_links also ends a line at a lone CR
-        raise ValueError("a CR in the text")
-    setdefault = ids.setdefault
-    for raw in text.split("\n"):
+    width, shape = (3, "'t u v'") if instant else (4, "'b e u v'")
+    bounded = instant and delta is not None and 0 < delta < math.inf
+    # Split at LF, CRLF and CR only, as open() does: splitlines() would also split
+    # at form feeds and Unicode separators, which can sit inside a comment.
+    for lineno, raw in enumerate(text.replace("\r\n", "\n").replace("\r", "\n").split("\n"), 1):
         parts = raw.split()
-        if not parts:
-            continue
-        t, s, x, y = parts
-        b, e = int(t), int(s)
-        if e < b or x == y:
-            raise ValueError(f"link {raw!r} ends before it begins or loops")
-        u = setdefault(x, len(ids))
-        v = setdefault(y, len(ids))
+        try:  # integer times, the common case; an instant's e = b passes the e < b check
+            if instant:
+                t, x, y = parts
+                b = e = int(t)
+            else:
+                t, s, x, y = parts
+                b, e = int(t), int(s)
+        except ValueError:
+            if not parts or parts[0].startswith("#"):
+                continue
+            if len(parts) != width:
+                raise ParseError(f"expected {shape}, got {len(parts)} fields", lineno) from None
+            b = e = _parse_time(t, lineno)
+            if not instant:
+                e = _parse_time(s, lineno)
+        if e < b:
+            raise ParseError(f"link ends at {s} before it begins at {t}", lineno)
+        if bounded and _end_overflows(b, delta):
+            raise ParseError(f"non-finite end time: {t} + {delta!r} overflows", lineno)
+        if x == y:
+            raise ParseError(f"self-loop on vertex {x!r}", lineno)
+        if (u := ids.get(x)) is None:
+            u = ids[x] = len(ids)
+        if (v := ids.get(y)) is None:
+            v = ids[y] = len(ids)
         if v < u:
             u, v = v, u
-        yield b, e, u, v
+        if linenos is not None:
+            linenos.setdefault((b, e, u, v), lineno)
+        yield (b, u, v) if instant else (b, e, u, v)
 
 
 def _end_overflows(t: Time, delta: Time) -> bool:

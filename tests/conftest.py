@@ -141,7 +141,8 @@ def wide_streams(draw) -> LinkStream:
 
 
 # Edits of a serialized stream. Most make text that parse_links refuses, or
-# that is not sorted, integer, pairwise disjoint b e u v lines.
+# that is not sorted, pairwise disjoint b e u v lines; the rest change only
+# line ends, comments, spacing or a time's form.
 TEXT_EDITS = ("none", "shuffle", "repeat", "overlap", "touch", "float-time", "comment", "crlf",
               "lone-cr", "end-before-begin", "self-loop", "three-fields", "tab", "double-space")
 

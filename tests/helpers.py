@@ -68,7 +68,7 @@ def dense_group(g: int, repeats: int) -> LinkStream:
 
 
 def refuse(*_):
-    """A stand-in for lscpm.cli._sorted_links that reads nothing.
+    """A stand-in for lscpm.cli._read_links that reads nothing.
 
     Patched in, it sends communities and stats to parse_links on the whole
     text, the path every input took before the streamed read.

@@ -147,6 +147,36 @@ class TestStats:
         assert "vertex_communities,x,0" in out.splitlines()
 
 
+# Three links that begin at 5, two of them written 5: the triangle reads 5.0,
+# as on b-c, its last link in sorted order, though a-c completes it in the file.
+BEGIN_FORMS_TEXT = """\
+5 10 a b
+5.0 10 b c
+5 10 a c
+"""
+
+
+def written_as(form: str, text: str) -> str:
+    """text with its line ends, a header or its times written another way.
+
+    float-time adds half a tick to every time; 5.0-form writes the times of
+    every other line as floats, so equal times appear in both forms.
+    """
+    if form in ("crlf", "lone-cr"):
+        return text.replace("\n", "\r\n" if form == "crlf" else "\r")
+    if form == "header":
+        return "# b e u v\n" + text
+    lines = []
+    for i, line in enumerate(text.splitlines()):
+        b, e, x, y = line.split()
+        if form == "float-time":
+            b, e = (repr(float(t) + 0.5) for t in (b, e))
+        elif i % 2:
+            b, e = (repr(float(t)) for t in (b, e))
+        lines.append(f"{b} {e} {x} {y}\n")
+    return "".join(lines)
+
+
 def parsed_whole(*_):
     pytest.fail("the text was parsed whole")
 
@@ -173,17 +203,33 @@ class TestStreamedRead:
         argv = [command, "--k", str(k), str(path)]
         streamed = run_main(argv)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(lscpm.cli, "_sorted_links", refuse)
+            mp.setattr(lscpm.cli, "_read_links", refuse)
             assert run_main(argv) == streamed
 
     @pytest.mark.parametrize("command", ["communities", "stats"])
     def test_sorted_integer_input_is_not_parsed_whole(self, capsys, monkeypatch, known_file,
                                                       command):
         with monkeypatch.context() as mp:
-            mp.setattr(lscpm.cli, "_sorted_links", refuse)
+            mp.setattr(lscpm.cli, "_read_links", refuse)
             whole = run_cli(capsys, command, "--k", "3", known_file)
         monkeypatch.setattr(lscpm.cli, "parse_links", parsed_whole)
         assert run_cli(capsys, command, "--k", "3", known_file) == whole
+        assert whole[0] == 0
+
+    @pytest.mark.parametrize("form", ["crlf", "lone-cr", "header", "float-time", "5.0-form"])
+    @pytest.mark.parametrize("text", [KNOWN_STREAM_TEXT, MIXED_END_TEXT, BEGIN_FORMS_TEXT],
+                             ids=["known", "mixed-end", "begin-forms"])
+    @pytest.mark.parametrize("command", ["communities", "stats"])
+    def test_sorted_input_of_every_form_is_not_parsed_whole(self, capsys, monkeypatch, tmp_path,
+                                                            command, text, form):
+        path = tmp_path / "input.txt"
+        path.write_bytes(written_as(form, text).encode())
+        argv = [command, "--k", "3", str(path)]
+        with monkeypatch.context() as mp:
+            mp.setattr(lscpm.cli, "_read_links", refuse)
+            whole = run_cli(capsys, *argv)
+        monkeypatch.setattr(lscpm.cli, "parse_links", parsed_whole)
+        assert run_cli(capsys, *argv) == whole
         assert whole[0] == 0
 
     def test_stdin_is_streamed_as_a_file_is(self, capsys, monkeypatch):

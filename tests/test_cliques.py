@@ -1,11 +1,11 @@
 import random
-from itertools import combinations
+from itertools import combinations, groupby
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import KNOWN_CLIQUES, MIXED_END_TEXT, dense_streams, streams
+from conftest import KNOWN_CLIQUES, MIXED_END_TEXT, dense_streams, streams, wide_streams
 
 from lscpm import (
     Interval,
@@ -19,7 +19,7 @@ from lscpm import (
     parse_links,
     validate,
 )
-from lscpm.cliques import _search
+from lscpm.cliques import _clique_keys, _search
 from lscpm.oracle import can_end_later, can_start_earlier, is_clique, oracle_enumerate, pair_spans
 
 
@@ -331,6 +331,25 @@ class TestEnumerate:
         got = list(enumerate_k_cliques(doubled, k))
         assert len(got) == len(set(got))
         assert got == list(enumerate_k_cliques(stream, k))
+
+    @pytest.mark.parametrize("first, other", [(5, 5.0), (0.0, -0.0)])
+    def test_begin_written_two_ways_reads_as_in_sorted_order(self, first, other):
+        # as listed, a-c completes the triangle; sorted, b-c does, begun at `other`
+        links = [(first, 10, 0, 1), (other, 10, 1, 2), (first, 10, 0, 2)]
+        for order in (links, sorted(links)):
+            assert [repr(b) for _, _, b in _clique_keys(order, 3)] == [repr(other)]
+
+    @given(wide_streams(), st.sampled_from([3, 4]), st.randoms(use_true_random=False))
+    @settings(max_examples=100, deadline=None)
+    def test_links_that_begin_together_may_come_in_any_order(self, stream, k, rng):
+        # a streamed file lists the links of one begin time in its own order;
+        # every time must read as it does on the sorted links
+        batches = [list(batch) for _, batch in groupby(stream.links, key=lambda ln: ln.b)]
+        for batch in batches:
+            rng.shuffle(batch)
+        shuffled = [ln for batch in batches for ln in batch]
+        assert [tuple(map(repr, key)) for key in _clique_keys(shuffled, k)] == \
+            [tuple(map(repr, key)) for key in _clique_keys(stream.links, k)]
 
     @given(streams())
     @settings(max_examples=40, deadline=None)

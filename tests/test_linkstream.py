@@ -18,7 +18,7 @@ from lscpm import (
     validate,
 )
 from lscpm.cliques import _clique_keys
-from lscpm.linkstream import _sorted_links
+from lscpm.linkstream import _read_links
 
 
 class TestInterval:
@@ -181,6 +181,32 @@ class TestParse:
     def test_overlapping_pair_rejected_with_lines(self):
         with pytest.raises(ParseError, match="lines 1 and 2"):
             parse_links("1 5 a b\n3 8 a b")
+
+    @pytest.mark.parametrize("text, message, line", [
+        ("1 2 c d\n0 5.0 a b\n3 8 a b\n0 5 a b\n3 8.0 a b\n", "(lines 2 and 3)", 3),
+        ("3 8.0 a b\n0 5 a b\n1 2 c d\n3 8 a b\n0 5.0 a b\n", "(lines 2 and 1)", 1),
+    ], ids=["repeats-follow", "overlap-written-first"])
+    def test_overlap_names_the_first_line_of_each_link(self, text, message, line):
+        # 5.0 and 5 are one link, repeated on two lines, and so are 8 and 8.0:
+        # each is named by the first line that writes it, in either form
+        with pytest.raises(ParseError) as exc:
+            parse_links(text)
+        assert str(exc.value) == f"line {line}: links on pair (a, b) overlap {message}"
+        assert exc.value.line == line
+
+    @pytest.mark.parametrize("text, delta", [("0 nan a b", None), ("0 x a b", None),
+                                             ("0 a b", None), ("nan a b", 2)])
+    def test_error_traceback_leaves_out_the_int_attempt(self, text, delta):
+        # the reader tries int() first; that error is not part of the report
+        fmt = "durational" if delta is None else "instantaneous"
+        with pytest.raises(ParseError) as exc:
+            parse_links(text, format=fmt, delta=delta)
+        assert exc.value.__context__ is None or exc.value.__suppress_context__
+
+    def test_repeat_written_two_ways_keeps_the_first_form(self):
+        stream = parse_links("0 5.0 a b\n1 2 c d\n0 5 a b\n")
+        assert [tuple(map(repr, ln)) for ln in stream.links] == \
+            [("0", "5.0", "0", "1"), ("1", "2", "2", "3")]
 
     def test_touching_pair_rejected(self):
         # closed intervals sharing one endpoint still intersect
@@ -353,18 +379,18 @@ class TestValidate:
 
 
 def read_alone(text):
-    """(labels, links) of _sorted_links on text."""
+    """(labels, links) of _read_links on text."""
     ids = {}
-    links = [Link(*link) for link in _sorted_links(text, ids)]
+    links = [Link(*link) for link in _read_links(text, ids)]
     return {i: label for label, i in ids.items()}, links
 
 
 def streamed_read(text):
-    """(labels, links) of _sorted_links on text, each link drawn by the clique search."""
+    """(labels, links) of _read_links on text, each link drawn by the clique search."""
     ids, links = {}, []
 
     def read():
-        for link in _sorted_links(text, ids):
+        for link in _read_links(text, ids):
             links.append(Link(*link))
             yield link
 
@@ -374,6 +400,8 @@ def streamed_read(text):
 
 
 class TestSortedLinks:
+    """The streamed read of sorted links: _read_links, each link drawn by the clique search."""
+
     @given(stream_texts())
     @settings(max_examples=400, deadline=None)
     def test_vouches_only_for_what_parse_links_reads_the_same(self, text):
@@ -388,16 +416,30 @@ class TestSortedLinks:
         assert tuple(sorted(links)) == stream.links
 
     @pytest.mark.parametrize("text", [
-        "0 5 a b\r\n",
-        "0 5.0 a b\n",
-        "# note\n0 5 a b\n",
-        "5 0 a b\n",
-        "0 5 a a\n",
-        "0 a b\n",
-    ], ids=["cr", "float-form", "comment", "end-before-begin", "self-loop", "three-fields"])
+        "0 5 a b\r\n1 6 b c\r2 4 a c\n",
+        "0 5.0 a b\n0.5 6 b c\n",
+        "# b e u v\n0 5 a b\n\n# note\n1 6 b c\n",
+    ], ids=["cr", "float-form", "comment"])
+    def test_reads_what_parse_links_reads(self, text):
+        labels, links = read_alone(text)
+        stream = parse_links(text)
+        assert labels == stream.labels
+        assert [tuple(map(repr, ln)) for ln in links] == \
+            [tuple(map(repr, ln)) for ln in stream.links]
+
+    @pytest.mark.parametrize("text", [
+        "0 5 a b\n5 0 a b\n",
+        "0 5 a b\n0 5 a a\n",
+        "0 5 a b\n0 a b\n",
+    ], ids=["end-before-begin", "self-loop", "three-fields"])
     def test_refuses_what_parse_links_must_judge(self, text):
-        with pytest.raises(ValueError):
+        # the error parse_links words, line number included
+        with pytest.raises(ParseError) as exc:
+            parse_links(text)
+        with pytest.raises(ParseError) as read:
             read_alone(text)
+        assert str(read.value) == str(exc.value)
+        assert read.value.line == exc.value.line == 2
 
     @pytest.mark.parametrize("text", [
         "0 5 a b\n0 5 a b\n",

@@ -54,6 +54,6 @@ def test_streamed_cli_read_peaks_below_half_the_whole_text_parse(tmp_path, monke
     path = tmp_path / "sorted.txt"
     path.write_text(sorted_text(10**5))
     streamed = traced_cli_peak(path)
-    monkeypatch.setattr(lscpm.cli, "_sorted_links", refuse)  # parse the whole text instead
+    monkeypatch.setattr(lscpm.cli, "_read_links", refuse)  # parse the whole text instead
     whole = traced_cli_peak(path)
     assert streamed <= whole / 2, f"{streamed / 1e6:.2f} MB streamed, {whole / 1e6:.2f} MB whole"

@@ -128,6 +128,11 @@ def test_cli_digest_lists_one_digest_per_run(tmp_path, known_text):
             # derived copies: the lines reversed, and the opening slice within the oracle's reach
             assert f"stats --k {k} reversed({p})" in digests
             assert f"oracle --k {k} slice({p})" in digests
+            # CRLF line ends and a comment line change no output byte
+            for command in ("communities", "stats"):
+                for copy in ("crlf", "commented"):
+                    assert digests[f"{command} --k {k} {copy}({p})"] == \
+                        digests[f"{command} --k {k} {p}"]
     # both files fit the oracle whole, so the slice is the file. At k = 3 the
     # snapshot times are the midpoints of its first, middle and last cliques,
     # [2, 13], [4, 9] and [8, 12]; at k = 4 it has no clique, so they are its
@@ -157,6 +162,7 @@ def test_cli_digest_passes_delta(tmp_path):
         assert re.match(r"^[0-9a-f]{64}  \S", line), line
         assert " --delta 2 " in line, line
     assert sum(line.endswith(f" --delta 2 - < {path}") for line in on_file) == 3
-    # instants are never streamed, so they get no reversed copy
-    assert not any("reversed(" in line for line in proc.stdout.splitlines())
+    # instants are never streamed, so they get no reversed, CRLF or commented copy
+    assert not any(f"{copy}(" in line for line in proc.stdout.splitlines()
+                   for copy in ("reversed", "crlf", "commented"))
     assert sum(line.endswith(f" --delta 2 slice({path})") for line in proc.stdout.splitlines()) == 6
