@@ -14,9 +14,10 @@ one listing covers:
 
 - ``reversed(path)``, ``crlf(path)`` and ``commented(path)``: the lines in
   reverse order, with CRLF line ends, and after a ``# b e u v`` first line,
-  for communities and stats. Only without --delta: sorted durational input
-  streams into the clique search as it is read, and reversed input takes the
-  whole-text parse; CRLF and commented copies stream as the file does.
+  for communities and stats, with --delta when it is given. Sorted durational
+  input streams into the clique search as it is read, and reversed input
+  takes the whole-text parse; instants stream in any order. CRLF and
+  commented copies stream as the file does.
 - ``slice(path)``: at most 200 lines among at most 20 vertices around the
   first link (see oracle_slice), within the oracle's limits, for oracle and
   compare at snapshot times inside the slice's cliques (see clique_times).
@@ -148,25 +149,23 @@ def clique_times(cmd: list[str]) -> str | None:
 
 
 def derived_runs(path: str, delta: str | None, stem: Path) -> list[Run]:
-    """Runs on the reversed, CRLF and commented copies (durational input only) and on
-    the oracle slice.
+    """Runs on the reversed, CRLF and commented copies and on the oracle slice.
 
     The copies are written next to ``stem``, a path unique to this input.
     """
     extra = [] if delta is None else ["--delta", delta]
     out: list[Run] = []
-    if delta is None:
-        lines = lines_of(path)
-        copies = {"reversed": "\n".join(reversed(lines)) + "\n",
-                  "crlf": "\r\n".join(lines),
-                  "commented": "\n".join(["# b e u v", *lines])}
-        for name, text in copies.items():
-            copy = stem.with_suffix(f".{name}")
-            copy.write_bytes(text.encode("utf-8"))
-            for k in KS:
-                for command in ("communities", "stats"):
-                    cmd = [command, "--k", str(k)]
-                    out.append(([*cmd, str(copy)], None, " ".join([*cmd, f"{name}({path})"])))
+    lines = lines_of(path)
+    copies = {"reversed": "\n".join(reversed(lines)) + "\n",
+              "crlf": "\r\n".join(lines),
+              "commented": "\n".join(["# b e u v", *lines])}
+    for name, text in copies.items():
+        copy = stem.with_suffix(f".{name}")
+        copy.write_bytes(text.encode("utf-8"))
+        for k in KS:
+            for command in ("communities", "stats"):
+                cmd = [command, "--k", str(k), *extra]
+                out.append(([*cmd, str(copy)], None, " ".join([*cmd, f"{name}({path})"])))
     kept, times = oracle_slice(path)
     if not times:
         return out

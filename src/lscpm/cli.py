@@ -10,12 +10,14 @@ Subcommands:
 
 Input is UTF-8 text, a file or standard input (``-``) read the same way. Lines
 are durational ``b e u v``, or instantaneous ``t u v`` when ``--delta`` gives
-each instant its duration. communities and stats hand durational lines to the
-clique search as parse_links' own reader reads them, with no link list built
-or sorted, which cuts their peak memory about twofold. Where a line breaks a
-per-line rule, or the search refuses it (an unsorted begin, an overlap, touch
-or repeat on a pair), they parse the whole text as the other commands do,
-which words every error; input sorted up to its last line pays for both reads.
+each instant its duration. communities and stats take one read path for both
+forms: lines go to the clique search as parse_links' own reader reads them,
+durational ones with no link list built or sorted, instantaneous ones through
+apply_delta with no list of instants. The reader words a broken line as
+parse_links does. Only where the search refuses a line (an unsorted begin, an
+overlap, touch or repeat on a pair) do they parse the whole text as the other
+commands do, which words that error; input sorted up to its last line pays
+for both reads.
 
 Exit codes: 0 ok, 1 unreadable or invalid input or unwritable output, 2 usage error.
 Output is deterministic: identical input and flags give identical bytes.
@@ -136,19 +138,27 @@ def read_stream(path: str, delta: Time | None) -> LinkStream:
 
 
 def _read_communities(args: argparse.Namespace) -> tuple[dict[int, str], list[TemporalCommunity]]:
-    """The label table and the communities at args.k: streamed if it can be, as said above."""
-    if args.delta is None:
-        text = _read_text(args.input)  # outside the try: a read or UTF-8 error is final
-        ids: dict[str, int] = {}
-        try:
-            communities = _communities(_read_links(text, ids), args.k)
-            return {i: label for label, i in ids.items()}, communities
-        except ValueError:
-            ids.clear()  # before the batch parse, which needs more room
-        # after the except block, whose traceback holds the failed fold's state
-        stream = parse_links(text)
-    else:
-        stream = read_stream(args.input, args.delta)
+    """The label table and the communities at args.k, from one read as said above.
+
+    Lines go from _read_links to the clique search as they are read; with a
+    delta, through one apply_delta first. The reader's ParseError is final: it
+    words a broken line as parse_links does. Only the search's refusals send
+    the text to parse_links, in the input's own format.
+    """
+    text = _read_text(args.input)  # outside the try: a read or UTF-8 error is final
+    ids: dict[str, int] = {}
+    try:
+        links = _read_links(text, ids, args.delta is not None, args.delta)
+        if args.delta is not None:
+            links = apply_delta(links, args.delta).links
+        communities = _communities(links, args.k)
+        return {i: label for label, i in ids.items()}, communities
+    except ParseError:
+        raise
+    except ValueError:
+        ids.clear()  # before the whole-text parse, which needs more room
+    # after the except block, whose traceback holds the failed fold's state
+    stream = parse_links(text, "durational" if args.delta is None else "instantaneous", args.delta)
     return stream.labels, compute_communities(stream, args.k)
 
 

@@ -5,11 +5,11 @@ alive edges: each vertex maps every live neighbor to the end of the link they
 share, and the edges ending before a new begin time are dropped once per
 distinct begin time, from one bucket of pairs per end time. Each incoming link
 (b, e, u, v) with a live neighbor at both ends triggers a static k-clique search
-around {u, v}: one recursion in increasing vertex id, the same for every k,
-lists the (k - 2)-cliques among the common neighbors of u and v. Its last
-level closes cliques in place: for k >= 4 each linked pair of remaining
-candidates completes one clique without a further call. A found vertex
-set C becomes the temporal clique (C, [b, min end time over the edges of C]).
+among the common neighbors of u and v. At k = 3 each of them closes one
+triangle. For larger k one recursion in increasing vertex id lists their
+(k - 2)-cliques, and its last level closes cliques in place: each linked pair
+of remaining candidates completes one clique without a further call. A found
+vertex set C becomes the temporal clique (C, [b, min end time over the edges of C]).
 The search carries that end time as the clique grows and drops a branch as
 soon as its end is <= b, so candidates of zero length never form (a clique
 needs a strictly positive interval). A maximal clique begins when the last of
@@ -122,9 +122,9 @@ def cliques_containing_edge(g: WindowGraph, u: int, v: int, k: int) -> list[tupl
     """All size-k vertex sets forming a static clique in g and containing {u, v}.
 
     Reduces to listing (k - 2)-cliques of the subgraph induced by the common
-    neighbors of u and v, by one recursion in increasing vertex id for every
-    k, with u and v in either order. This is the search enumeration runs,
-    without its end-time cut-off.
+    neighbors of u and v, each one of them at k = 3 and by one recursion in
+    increasing vertex id for larger k, with u and v in either order. This is
+    the search enumeration runs, without its end-time cut-off.
     """
     if k < 3:
         raise ValueError(f"k must be at least 3, got {k}")
@@ -136,12 +136,13 @@ def _search(g: WindowGraph, u: int, v: int, k: int, e: Time,
     """(clique, end, b) for each k-clique of g on the pair {u, v} whose end is > b.
 
     A clique's end is the earliest end time over its edges, with e standing in
-    for the edge (u, v); _grow caps every end with e. The common neighbors of
-    u and v, found by walking the smaller neighbor map and probing the larger,
-    whose triangle ends after b seed _grow, which extends the clique for every
-    k and sorts each one, so u and v may come in either order. Each vertex
-    added to a partial clique lowers the end by its edges to the vertices
-    already in it, and a branch is dropped as soon as its end is <= b.
+    for the edge (u, v), which caps every end. The common neighbors of u and
+    v, found by walking the smaller neighbor map and probing the larger, whose
+    triangle ends after b each close one triangle at k = 3, in id order, and
+    seed _grow for larger k. Each clique is sorted, so u and v may come in
+    either order. Each vertex added to a partial clique lowers the end by its
+    edges to the vertices already in it, and a branch is dropped as soon as
+    its end is <= b.
     """
     adj = g.adj
     small = adj.get(u)
@@ -162,6 +163,8 @@ def _search(g: WindowGraph, u: int, v: int, k: int, e: Time,
     if not live:
         return []
     live.sort()
+    if k == 3:
+        return [(tuple(sorted((u, v, w))), e if ew > e else ew, b) for w, ew in live]
     found: list[tuple[tuple[int, ...], Time, Time]] = []
     _grow(adj, (u, v), live, k - 2, e, b, found)
     return found
@@ -169,20 +172,15 @@ def _search(g: WindowGraph, u: int, v: int, k: int, e: Time,
 
 def _grow(adj: dict[int, dict[int, Time]], group: tuple[int, ...], cand: list[tuple[int, Time]],
           need: int, end: Time, b: Time, found: list[tuple[tuple[int, ...], Time, Time]]) -> None:
-    """Append every clique of group plus `need` vertices of the id-sorted `cand`.
+    """Append every clique of group plus `need` (>= 2) vertices of the id-sorted `cand`.
 
     `end` is the end of group and each candidate carries the end of its edges
     to group. Each step takes a vertex and keeps only its neighbors of higher
     id as the next candidates, so every clique is built once, in increasing id
-    order. With one vertex left to add, each candidate closes one clique. With
-    two left, each linked pair of candidates closes one in place, without the
-    call a one-vertex level would cost; k = 3 enters at one vertex, every
-    larger k ends at two.
+    order. With two vertices left to add, each linked pair of candidates
+    closes one clique in place, without a further call. _search closes k = 3
+    itself, so every call starts with at least two left.
     """
-    if need == 1:
-        for x, ex in cand:
-            found.append((tuple(sorted(group + (x,))), end if ex > end else ex, b))
-        return
     for i in range(len(cand) - need + 1):
         x, ex = cand[i]
         if ex > end:

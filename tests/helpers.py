@@ -71,7 +71,7 @@ def refuse(*_):
     """A stand-in for lscpm.cli._read_links that reads nothing.
 
     Patched in, it sends communities and stats to parse_links on the whole
-    text, the path every input took before the streamed read.
+    text, in the input's own format.
     """
     raise ValueError("refused")
     yield

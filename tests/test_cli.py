@@ -34,6 +34,12 @@ KNOWN_COMMUNITY_OUTPUT = """\
 0 g 8 12
 """
 
+# The known stream's begins and ends as instants, in time order. At --delta 3
+# the instants 5 and 8 on e-g, and on f-g, touch and merge into one link.
+KNOWN_INSTANT_TEXT = "".join(f"{t} {x} {y}\n" for t, x, y in sorted(
+    (int(t), x, y) for b, e, x, y in map(str.split, KNOWN_STREAM_TEXT.splitlines())
+    for t in (b, e)))
+
 DENSE_TEXT = "\n".join(
     f"0 10 {u} {v}"
     for u, v in [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 4), (3, 5), (4, 5)]
@@ -157,23 +163,27 @@ BEGIN_FORMS_TEXT = """\
 
 
 def written_as(form: str, text: str) -> str:
-    """text with its line ends, a header or its times written another way.
+    """text as it is, reversed, or with its line ends, a header or its times rewritten.
 
     float-time adds half a tick to every time; 5.0-form writes the times of
     every other line as floats, so equal times appear in both forms.
     """
+    if form == "sorted":
+        return text
+    if form == "reversed":
+        return "".join(reversed(text.splitlines(keepends=True)))
     if form in ("crlf", "lone-cr"):
         return text.replace("\n", "\r\n" if form == "crlf" else "\r")
     if form == "header":
         return "# b e u v\n" + text
     lines = []
     for i, line in enumerate(text.splitlines()):
-        b, e, x, y = line.split()
+        *times, x, y = line.split()
         if form == "float-time":
-            b, e = (repr(float(t) + 0.5) for t in (b, e))
+            times = [repr(float(t) + 0.5) for t in times]
         elif i % 2:
-            b, e = (repr(float(t)) for t in (b, e))
-        lines.append(f"{b} {e} {x} {y}\n")
+            times = [repr(float(t)) for t in times]
+        lines.append(" ".join([*times, x, y]) + "\n")
     return "".join(lines)
 
 
@@ -231,6 +241,41 @@ class TestStreamedRead:
         monkeypatch.setattr(lscpm.cli, "parse_links", parsed_whole)
         assert run_cli(capsys, *argv) == whole
         assert whole[0] == 0
+
+    @pytest.mark.parametrize("form", ["sorted", "reversed", "crlf", "lone-cr", "header",
+                                      "5.0-form"])
+    @pytest.mark.parametrize("command", ["communities", "stats"])
+    def test_delta_input_of_every_form_gives_the_whole_text_bytes(self, capsys, monkeypatch,
+                                                                  tmp_path, command, form):
+        path = tmp_path / "instants.txt"
+        path.write_bytes(written_as(form, KNOWN_INSTANT_TEXT).encode())
+        argv = [command, "--k", "3", "--delta", "3", str(path)]
+        with monkeypatch.context() as mp:
+            mp.setattr(lscpm.cli, "_read_links", refuse)
+            whole = run_cli(capsys, *argv)
+        if form != "reversed":  # unsorted instants may take the whole-text parse
+            monkeypatch.setattr(lscpm.cli, "parse_links", parsed_whole)
+        assert run_cli(capsys, *argv) == whole
+        assert whole[0] == 0
+
+    @pytest.mark.parametrize("delta, text, error", [
+        (None, KNOWN_STREAM_TEXT.replace("3 12 e f\n", "3 12 e f\n3 x e g\n"),
+         "line 5: bad time value 'x'"),
+        ("3", KNOWN_INSTANT_TEXT.replace("3 e f\n", "3 e f\n3 e\n"),
+         "line 5: expected 't u v', got 2 fields"),
+    ], ids=["durational", "delta"])
+    @pytest.mark.parametrize("command", ["communities", "stats"])
+    def test_broken_line_is_read_once(self, capsys, monkeypatch, tmp_path, command, delta, text,
+                                      error):
+        path = tmp_path / "broken.txt"
+        path.write_text(text)
+        argv = [command, "--k", "3", *([] if delta is None else ["--delta", delta]), str(path)]
+        with monkeypatch.context() as mp:
+            mp.setattr(lscpm.cli, "_read_links", refuse)
+            whole = run_cli(capsys, *argv)
+        assert whole == (1, "", f"error: {error}\n")
+        monkeypatch.setattr(lscpm.cli, "parse_links", parsed_whole)
+        assert run_cli(capsys, *argv) == whole
 
     def test_stdin_is_streamed_as_a_file_is(self, capsys, monkeypatch):
         monkeypatch.setattr(lscpm.cli, "parse_links", parsed_whole)

@@ -162,7 +162,12 @@ def test_cli_digest_passes_delta(tmp_path):
         assert re.match(r"^[0-9a-f]{64}  \S", line), line
         assert " --delta 2 " in line, line
     assert sum(line.endswith(f" --delta 2 - < {path}") for line in on_file) == 3
-    # instants are never streamed, so they get no reversed, CRLF or commented copy
-    assert not any(f"{copy}(" in line for line in proc.stdout.splitlines()
-                   for copy in ("reversed", "crlf", "commented"))
+    # instants get reversed, CRLF and commented copies too; the last two change no byte
+    digests = {line.split("  ", 1)[1]: line.split("  ", 1)[0] for line in proc.stdout.splitlines()}
+    for k in (3, 4, 5):
+        for command in ("communities", "stats"):
+            own = digests[f"{command} --k {k} --delta 2 {path}"]
+            assert f"{command} --k {k} --delta 2 reversed({path})" in digests
+            for copy in ("crlf", "commented"):
+                assert digests[f"{command} --k {k} --delta 2 {copy}({path})"] == own
     assert sum(line.endswith(f" --delta 2 slice({path})") for line in proc.stdout.splitlines()) == 6
