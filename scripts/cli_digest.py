@@ -14,10 +14,11 @@ one listing covers:
 
 - ``reversed(path)``, ``crlf(path)`` and ``commented(path)``: the lines in
   reverse order, with CRLF line ends, and after a ``# b e u v`` first line,
-  for communities and stats, with --delta when it is given. Sorted durational
-  input streams into the clique search as it is read, and reversed input
-  takes the whole-text parse; instants stream in any order. CRLF and
-  commented copies stream as the file does.
+  for enumerate, communities, stats and compare against k + 1, with --delta
+  when it is given. For communities and stats, sorted durational input
+  streams into the clique search as it is read, and reversed input takes the
+  whole-text parse; instants stream in any order, for every command. CRLF
+  and commented copies are read as the file is.
 - ``slice(path)``: at most 200 lines among at most 20 vertices around the
   first link (see oracle_slice), within the oracle's limits, for oracle and
   compare at snapshot times inside the slice's cliques (see clique_times).
@@ -163,8 +164,9 @@ def derived_runs(path: str, delta: str | None, stem: Path) -> list[Run]:
         copy = stem.with_suffix(f".{name}")
         copy.write_bytes(text.encode("utf-8"))
         for k in KS:
-            for command in ("communities", "stats"):
-                cmd = [command, "--k", str(k), *extra]
+            for cmd in (["enumerate", "--k", str(k)], ["communities", "--k", str(k)],
+                        ["stats", "--k", str(k)], ["compare", "--k1", str(k), "--k2", str(k + 1)]):
+                cmd += extra
                 out.append(([*cmd, str(copy)], None, " ".join([*cmd, f"{name}({path})"])))
     kept, times = oracle_slice(path)
     if not times:

@@ -10,14 +10,15 @@ Subcommands:
 
 Input is UTF-8 text, a file or standard input (``-``) read the same way. Lines
 are durational ``b e u v``, or instantaneous ``t u v`` when ``--delta`` gives
-each instant its duration. communities and stats take one read path for both
-forms: lines go to the clique search as parse_links' own reader reads them,
-durational ones with no link list built or sorted, instantaneous ones through
-apply_delta with no list of instants. The reader words a broken line as
-parse_links does. Only where the search refuses a line (an unsorted begin, an
-overlap, touch or repeat on a pair) do they parse the whole text as the other
-commands do, which words that error; input sorted up to its last line pays
-for both reads.
+each instant its duration. Instants go from the reader into apply_delta as
+they are read, with no list of them, in every command: parse_links does the
+same. communities and stats take one read path for both forms: lines go to
+the clique search as parse_links' own reader reads them, durational ones with
+no link list built or sorted. The reader words a broken line as parse_links
+does. Only where the search refuses a line (an unsorted begin, an overlap,
+touch or repeat on a pair) do they parse the whole text as the other commands
+do, which words that error; input sorted up to its last line pays for both
+reads.
 
 Exit codes: 0 ok, 1 unreadable or invalid input or unwritable output, 2 usage error.
 Output is deterministic: identical input and flags give identical bytes.

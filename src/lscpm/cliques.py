@@ -61,16 +61,15 @@ class WindowGraph:
     and skipped.
     """
 
-    __slots__ = ("adj", "_buckets", "_ends", "_live")
+    __slots__ = ("adj", "_buckets", "_ends")
 
     def __init__(self):
         self.adj: dict[int, dict[int, Time]] = {}
         self._buckets: dict[Time, list[Link]] = {}
         self._ends: list[Time] = []  # heap of the keys of _buckets
-        self._live = 0
 
     def __len__(self) -> int:
-        return self._live
+        return sum(map(len, self.adj.values())) // 2
 
     def add(self, link: Link) -> None:
         _, e, u, v = link
@@ -78,10 +77,7 @@ class WindowGraph:
         nu = adj.get(u)
         if nu is None:
             adj[u] = {v: e}
-            self._live += 1
         else:
-            if v not in nu:
-                self._live += 1
             nu[v] = e
         nv = adj.get(v)
         if nv is None:
@@ -115,7 +111,6 @@ class WindowGraph:
                     del adj[v]
                 else:
                     del nv[u]
-                self._live -= 1
 
 
 def cliques_containing_edge(g: WindowGraph, u: int, v: int, k: int) -> list[tuple[int, ...]]:

@@ -197,12 +197,15 @@ def parse_links(text: str, format: str = "durational", delta: Time | None = None
 
     Durational lines are ``b e u v`` and take no ``delta``; instantaneous
     lines are ``t u v`` and require ``delta``, the uniform duration given to
-    each instant (handled by :func:`apply_delta`). One reader, _read_links,
-    reads both and holds every per-line rule. Raises ValueError up front for an
-    unknown format or a delta given with durational input. Raises ParseError
-    with the offending line number on malformed input or a broken invariant,
-    such as an instant whose end t + delta overflows or two links that overlap
-    on a pair; a missing delta is reported after every line is read.
+    each instant (handled by :func:`apply_delta`, which draws the instants
+    from the reader as it reads them, so no list of instants is built). One
+    reader, _read_links, reads both and holds every per-line rule. Raises
+    ValueError up front for an unknown format or a delta given with durational
+    input, and, before any line is read, for a delta that is not positive and
+    finite. Raises ParseError with the offending line number on malformed
+    input or a broken invariant, such as an instant whose end t + delta
+    overflows or two links that overlap on a pair; a missing delta is
+    reported after every line is read.
     """
     if format not in ("durational", "instantaneous"):
         raise ValueError(f"unknown format {format!r}")
@@ -211,10 +214,12 @@ def parse_links(text: str, format: str = "durational", delta: Time | None = None
         raise ValueError(f"durational input takes no delta, got {delta!r}")
     ids: dict[str, int] = {}
     if instant:
-        instants = list(_read_links(text, ids, True, delta))
         if delta is None:
+            for _ in _read_links(text, ids, True):
+                pass
             raise ParseError("instantaneous input requires a positive delta")
-        return apply_delta(instants, delta, {i: lab for lab, i in ids.items()})
+        stream = apply_delta(_read_links(text, ids, True, delta), delta)
+        return LinkStream(stream.links, {i: lab for lab, i in ids.items()})
     links = list(map(Link._make, _read_links(text, ids)))
     labels = {i: lab for lab, i in ids.items()}
 
@@ -301,20 +306,19 @@ def _end_overflows(t: Time, delta: Time) -> bool:
         return True
 
 
-def apply_delta(
-    instants: Iterable[tuple[Time, int, int]],
-    delta: Time,
-    labels: dict[int, str] | None = None,
-) -> LinkStream:
+def apply_delta(instants: Iterable[tuple[Time, int, int]], delta: Time) -> LinkStream:
     """Expand instantaneous records (t, u, v) into links (t, t + delta, u, v).
 
     Records on the same pair whose expanded intervals overlap *or touch* are
     merged into one link over their union (_union_spans, which materialize
     also applies to membership spans), which restores the pair-disjointness
     invariant. A pair may be given as u > v; of equal times written as 5 and
-    5.0, the form given first is kept. ``labels`` defaults to each vertex id's
-    own string. Raises ValueError for a record whose end t + delta overflows
-    to infinity.
+    5.0, the form given first is kept. ``instants`` may be any iterable, such
+    as a reader that yields records as it reads them: it is consumed once, and
+    only after ``delta`` is checked. Every record's time is still held, grouped
+    by pair, and all the links are sorted at the end. The labels are each
+    vertex id's own string. Raises ValueError for a delta that is not positive
+    and finite, or a record whose end t + delta overflows to infinity.
     """
     if not 0 < delta < math.inf:
         raise ValueError(f"delta must be positive and finite, got {delta!r}")
@@ -332,9 +336,8 @@ def apply_delta(
                              f" with delta {delta!r}")
         links += [Link(s, e, u, v) for s, e in _union_spans([(t, t + delta) for t in ts])]
     links.sort()  # unique links with u < v: sorted, they are the stream
-    if labels is None:
-        labels = {x: str(x) for x in sorted({x for pair in by_pair for x in pair})}
-    return LinkStream(tuple(links), dict(labels))
+    labels = {x: str(x) for x in sorted({x for pair in by_pair for x in pair})}
+    return LinkStream(tuple(links), labels)
 
 
 def _union_spans(spans: list[tuple[Time, Time]]) -> list[list[Time]]:

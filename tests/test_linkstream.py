@@ -245,6 +245,12 @@ class TestParse:
             parse_links("0 a b\n# note\n1 2 a c\n", format="instantaneous", delta=delta)
         assert exc.value.line == 3
 
+    def test_instantaneous_invalid_delta_refused_before_any_line(self):
+        # apply_delta checks the delta before it draws the first instant from the reader
+        with pytest.raises(ValueError, match="delta must be positive and finite") as exc:
+            parse_links("0 a b\n1 2 a c\n", format="instantaneous", delta=0)
+        assert not isinstance(exc.value, ParseError)
+
 
 class TestApplyDelta:
     def test_single_instant(self):

@@ -1,13 +1,14 @@
 """Peak memory of a whole run against stream length (ROADMAP item 2)."""
 
 import os
+import random
 import sys
 import tracemalloc
 
 import pytest
 
 import lscpm.cli
-from lscpm import compute_communities, parse_links, serialize, synthetic_stream
+from lscpm import compute_communities, parse_links, random_instants, serialize, synthetic_stream
 
 
 def sorted_text(n_instants: int) -> str:
@@ -59,3 +60,22 @@ def test_streamed_cli_read_peaks_below_a_fixed_multiple_of_the_text(tmp_path):
     streamed = traced_cli_peak(path)
     assert streamed <= 6.7 * len(text), \
         f"{streamed / 1e6:.2f} MB streamed, {streamed / len(text):.2f} bytes per byte of text"
+
+
+def test_instant_parse_peaks_below_a_fixed_multiple_of_the_text():
+    # The text as `lscpm generate --vertices 1000 --links 100000 --span 10000
+    # --seed 1 --block 10` writes it. Instants go from the reader into
+    # apply_delta as they are read, so no list of them is held beside the text.
+    # The bound sits between this 1.27 MB text's peak of 13.2 bytes per byte of
+    # text when it was set and the 18.8 of a parse that lists every instant first.
+    instants = sorted(random_instants(random.Random(1), 1000, 100000, 10000, 10))
+    text = "".join(f"{t} {u} {v}\n" for t, u, v in instants)
+    del instants
+    tracemalloc.start()
+    try:
+        parse_links(text, format="instantaneous", delta=20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 15 * len(text), \
+        f"{peak / 1e6:.2f} MB, {peak / len(text):.2f} bytes per byte of text"

@@ -125,14 +125,14 @@ def test_cli_digest_lists_one_digest_per_run(tmp_path, known_text):
         digests = {line.split("  ", 1)[1]: line.split("  ", 1)[0] for line in lines}
         for k in (3, 4, 5):
             assert digests[f"communities --k {k} - < {p}"] == digests[f"communities --k {k} {p}"]
-            # derived copies: the lines reversed, and the opening slice within the oracle's reach
-            assert f"stats --k {k} reversed({p})" in digests
+            # derived copies: the opening slice within the oracle's reach, and the lines
+            # reversed, with CRLF ends and after a comment; the last two change no byte
             assert f"oracle --k {k} slice({p})" in digests
-            # CRLF line ends and a comment line change no output byte
-            for command in ("communities", "stats"):
+            for cmd in (f"enumerate --k {k}", f"communities --k {k}", f"stats --k {k}",
+                        f"compare --k1 {k} --k2 {k + 1}"):
+                assert f"{cmd} reversed({p})" in digests
                 for copy in ("crlf", "commented"):
-                    assert digests[f"{command} --k {k} {copy}({p})"] == \
-                        digests[f"{command} --k {k} {p}"]
+                    assert digests[f"{cmd} {copy}({p})"] == digests[f"{cmd} {p}"]
     # both files fit the oracle whole, so the slice is the file. At k = 3 the
     # snapshot times are the midpoints of its first, middle and last cliques,
     # [2, 13], [4, 9] and [8, 12]; at k = 4 it has no clique, so they are its
@@ -165,9 +165,10 @@ def test_cli_digest_passes_delta(tmp_path):
     # instants get reversed, CRLF and commented copies too; the last two change no byte
     digests = {line.split("  ", 1)[1]: line.split("  ", 1)[0] for line in proc.stdout.splitlines()}
     for k in (3, 4, 5):
-        for command in ("communities", "stats"):
-            own = digests[f"{command} --k {k} --delta 2 {path}"]
-            assert f"{command} --k {k} --delta 2 reversed({path})" in digests
+        for cmd in (f"enumerate --k {k}", f"communities --k {k}", f"stats --k {k}",
+                    f"compare --k1 {k} --k2 {k + 1}"):
+            own = digests[f"{cmd} --delta 2 {path}"]
+            assert f"{cmd} --delta 2 reversed({path})" in digests
             for copy in ("crlf", "commented"):
-                assert digests[f"{command} --k {k} --delta 2 {copy}({path})"] == own
+                assert digests[f"{cmd} --delta 2 {copy}({path})"] == own
     assert sum(line.endswith(f" --delta 2 slice({path})") for line in proc.stdout.splitlines()) == 6
